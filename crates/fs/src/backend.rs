@@ -193,11 +193,20 @@ pub fn deliver<T: 'static>(
 /// A shared, cheaply-cloneable backend handle.
 pub type SharedBackend = std::rc::Rc<dyn Backend>;
 
+/// The key prefix every descendant of directory `path` starts with.
+fn dir_prefix(path: &str) -> String {
+    if path == "/" {
+        "/".to_string()
+    } else {
+        format!("{path}/")
+    }
+}
+
 /// The directory-structure index utility (§5.1: "an index that any
 /// backend can use to cache directory listings and files").
 ///
 /// Paths are normalized and absolute; the root `/` always exists.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DirIndex {
     entries: std::collections::BTreeMap<String, FileKind>,
 }
@@ -265,11 +274,7 @@ impl DirIndex {
 
     /// Whether directory `path` has any children.
     pub fn has_children(&self, path: &str) -> bool {
-        let prefix = if path == "/" {
-            "/".to_string()
-        } else {
-            format!("{path}/")
-        };
+        let prefix = dir_prefix(path);
         self.entries
             .range(prefix.clone()..)
             .next()
@@ -313,11 +318,7 @@ impl DirIndex {
             Some(FileKind::File) => return Err(FsError::new(Errno::Enotdir, path)),
             Some(FileKind::Directory) => {}
         }
-        let prefix = if path == "/" {
-            "/".to_string()
-        } else {
-            format!("{path}/")
-        };
+        let prefix = dir_prefix(path);
         Ok(self
             .entries
             .range(prefix.clone()..)
@@ -335,11 +336,7 @@ impl DirIndex {
 
     /// All descendants of directory `path` (any depth), sorted.
     pub fn descendants(&self, path: &str) -> Vec<(String, FileKind)> {
-        let prefix = if path == "/" {
-            "/".to_string()
-        } else {
-            format!("{path}/")
-        };
+        let prefix = dir_prefix(path);
         self.entries
             .range(prefix.clone()..)
             .take_while(|(k, _)| k.starts_with(&prefix))
@@ -387,19 +384,18 @@ impl DirIndex {
         Ok(moved_files)
     }
 
-    /// All paths in the index, sorted (used to persist the index).
+    /// All paths in the index, sorted, one `F`- or `D`-tagged line each
+    /// (used to persist the index), written into one pre-sized buffer.
     pub fn serialize(&self) -> String {
-        self.entries
-            .iter()
-            .map(|(k, v)| {
-                let tag = match v {
-                    FileKind::File => 'F',
-                    FileKind::Directory => 'D',
-                };
-                format!("{tag}{k}")
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
+        let mut out = String::with_capacity(self.entries.keys().map(|k| k.len() + 2).sum());
+        for (k, v) in &self.entries {
+            if !out.is_empty() {
+                out.push('\n');
+            }
+            out.push(if *v == FileKind::File { 'F' } else { 'D' });
+            out.push_str(k);
+        }
+        out
     }
 
     /// Rebuild an index from [`serialize`](Self::serialize) output.
@@ -506,6 +502,45 @@ mod tests {
         assert_eq!(restored.kind("/lib"), Some(FileKind::Directory));
         assert_eq!(restored.kind("/lib/rt.jar"), Some(FileKind::File));
         assert_eq!(restored.list("/").unwrap(), idx.list("/").unwrap());
+    }
+
+    #[test]
+    fn serialized_index_format_is_pinned() {
+        assert_eq!(DirIndex::new().serialize(), "");
+        let mut idx = DirIndex::new();
+        idx.insert_dir("/a").unwrap();
+        idx.insert_dir("/a/b").unwrap();
+        idx.insert_file("/a/b/c.class").unwrap();
+        idx.insert_file("/a-b").unwrap();
+        idx.insert_file("/a.txt").unwrap();
+        idx.insert_dir("/b").unwrap();
+        // Byte order, not component order: '-' and '.' sort before '/'.
+        assert_eq!(
+            idx.serialize(),
+            "D/a\nF/a-b\nF/a.txt\nD/a/b\nF/a/b/c.class\nD/b"
+        );
+    }
+
+    #[test]
+    fn seeded_2k_entry_tree_round_trips() {
+        let mut rng = doppio_prng::SplitMix64::new(2014);
+        let mut idx = DirIndex::new();
+        let mut dirs = vec!["/".to_string()];
+        while idx.len() < 2_000 {
+            let parent = dirs[rng.gen_range(0..dirs.len())].clone();
+            let name = format!("n{}", rng.gen_range(0..10_000u32));
+            let path = crate::path::join(&[&parent, &name]);
+            if rng.gen_bool(0.2) {
+                if idx.insert_dir(&path).is_ok() {
+                    dirs.push(path);
+                }
+            } else {
+                let _ = idx.insert_file(&path);
+            }
+        }
+        let text = idx.serialize();
+        assert_eq!(text.lines().count(), 2_000);
+        assert_eq!(DirIndex::deserialize(&text), idx);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use doppio_jsengine::storage::SyncMechanism;
 use doppio_jsengine::{Cost, Engine, EngineError};
 
 use crate::backend::{deliver, Backend, DirIndex, FileKind, FsCallback, OpenFlags, Stat};
+use crate::backends::replicated::INDEX_KEY;
 use crate::error::{Errno, FsError, FsResult};
 
 /// The storage mechanism under a [`BlobBackend`]: where file contents
@@ -56,9 +57,10 @@ pub trait BlobStore {
     /// Remove the blob at `key` (missing is fine).
     fn delete(&mut self, engine: &Engine, key: &str) -> FsResult<()>;
 
-    /// Persist the serialized directory index (no-op for stores whose
-    /// structure is not durable).
-    fn persist_index(&mut self, _engine: &Engine, _serialized: &str) -> FsResult<()> {
+    /// Persist the directory index after a successful mutation (no-op
+    /// for stores whose structure is not durable). Stores that keep the
+    /// index serialize it here, so the others never pay for it.
+    fn persist_index(&mut self, _engine: &Engine, _index: &DirIndex) -> FsResult<()> {
         Ok(())
     }
 
@@ -112,9 +114,8 @@ impl<S: BlobStore> BlobBackend<S> {
     }
 
     fn persist(&self, engine: &Engine) -> FsResult<()> {
-        let mut st = self.state.borrow_mut();
-        let ser = st.index.serialize();
-        st.store.persist_index(engine, &ser)
+        let st = &mut *self.state.borrow_mut();
+        st.store.persist_index(engine, &st.index)
     }
 
     fn write_guard(&self, path: &str) -> FsResult<()> {
@@ -443,14 +444,14 @@ impl BlobStore for LocalStorageStore {
             .map_err(|e| FsError::new(Errno::Eio, key).with_detail(e.to_string()))
     }
 
-    fn persist_index(&mut self, engine: &Engine, serialized: &str) -> FsResult<()> {
+    fn persist_index(&mut self, engine: &Engine, index: &DirIndex) -> FsResult<()> {
         let browser = engine.profile().browser.name();
         engine
             .with_storage(|s, _| {
                 s.sync_store(SyncMechanism::LocalStorage).set_item(
                     browser,
                     LS_INDEX_KEY,
-                    serialized,
+                    &index.serialize(),
                 )
             })
             .map_err(|e| match e {
@@ -611,15 +612,174 @@ impl BlobStore for DropboxStore {
         Ok(())
     }
 
-    fn persist_index(&mut self, _engine: &Engine, serialized: &str) -> FsResult<()> {
+    fn persist_index(&mut self, _engine: &Engine, index: &DirIndex) -> FsResult<()> {
         self.blobs
-            .insert("\u{0}index".to_string(), serialized.as_bytes().to_vec());
+            .insert(INDEX_KEY.to_string(), index.serialize().into_bytes());
         Ok(())
     }
 
     fn load_index(&mut self, _engine: &Engine) -> Option<String> {
         self.blobs
-            .get("\u{0}index")
+            .get(INDEX_KEY)
             .map(|b| String::from_utf8_lossy(b).into_owned())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use doppio_jsengine::Browser;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// An in-memory store that counts how often the index is persisted.
+    struct CountingStore {
+        blobs: MemoryStore,
+        read_only: bool,
+        persists: Rc<Cell<usize>>,
+    }
+
+    impl BlobStore for CountingStore {
+        fn name(&self) -> &'static str {
+            "Counting"
+        }
+
+        fn is_read_only(&self) -> bool {
+            self.read_only
+        }
+
+        fn op_latency_ns(&self) -> u64 {
+            1_000
+        }
+
+        fn get(&mut self, engine: &Engine, key: &str) -> FsResult<Option<Vec<u8>>> {
+            self.blobs.get(engine, key)
+        }
+
+        fn put(&mut self, engine: &Engine, key: &str, data: &[u8]) -> FsResult<()> {
+            self.blobs.put(engine, key, data)
+        }
+
+        fn delete(&mut self, engine: &Engine, key: &str) -> FsResult<()> {
+            self.blobs.delete(engine, key)
+        }
+
+        fn persist_index(&mut self, _engine: &Engine, _index: &DirIndex) -> FsResult<()> {
+            self.persists.set(self.persists.get() + 1);
+            Ok(())
+        }
+    }
+
+    fn counting(engine: &Engine, read_only: bool) -> (BlobBackend<CountingStore>, Rc<Cell<usize>>) {
+        let persists = Rc::new(Cell::new(0));
+        let store = CountingStore {
+            blobs: MemoryStore::new(),
+            read_only,
+            persists: persists.clone(),
+        };
+        (BlobBackend::new(engine, store), persists)
+    }
+
+    /// Run one backend operation to completion.
+    fn run<T: 'static>(engine: &Engine, op: impl FnOnce(FsCallback<T>)) -> FsResult<T> {
+        let out = Rc::new(RefCell::new(None));
+        let o = out.clone();
+        op(Box::new(move |_, r| *o.borrow_mut() = Some(r)));
+        engine.run_until_idle();
+        let result = out.borrow_mut().take();
+        result.expect("operation did not complete")
+    }
+
+    fn errno<T>(r: FsResult<T>) -> Errno {
+        r.err().expect("operation should fail").errno
+    }
+
+    #[test]
+    fn persist_index_runs_once_per_successful_mutation_only() {
+        let e = &Engine::new(Browser::Chrome);
+        let (b, persists) = counting(e, false);
+        let persisted = |n: usize| assert_eq!(persists.replace(0), n);
+        let flags = |f: &str| OpenFlags::parse(f).unwrap();
+
+        run(e, |cb| b.mkdir(e, "/d", cb)).unwrap();
+        persisted(1);
+        run(e, |cb| b.open(e, "/d/f", flags("w"), cb)).unwrap();
+        persisted(1);
+        run(e, |cb| b.sync(e, "/d/f", b"hi".to_vec(), cb)).unwrap();
+        persisted(1);
+        run(e, |cb| b.rename(e, "/d/f", "/d/g", cb)).unwrap();
+        persisted(1);
+
+        // Reads leave the index alone.
+        run(e, |cb| b.stat(e, "/d/g", cb)).unwrap();
+        run(e, |cb| b.open(e, "/d/g", flags("r"), cb)).unwrap();
+        run(e, |cb| b.readdir(e, "/d", cb)).unwrap();
+        persisted(0);
+
+        // Failed mutations persist nothing.
+        assert_eq!(errno(run(e, |cb| b.mkdir(e, "/d", cb))), Errno::Eexist);
+        let exclusive = run(e, |cb| b.open(e, "/d/g", flags("wx"), cb));
+        assert_eq!(errno(exclusive), Errno::Eexist);
+        assert_eq!(errno(run(e, |cb| b.unlink(e, "/nope", cb))), Errno::Enoent);
+        let rename = run(e, |cb| b.rename(e, "/nope", "/x", cb));
+        assert_eq!(errno(rename), Errno::Enoent);
+        let sync = run(e, |cb| b.sync(e, "/nope/x", vec![1], cb));
+        assert_eq!(errno(sync), Errno::Enoent);
+        assert_eq!(errno(run(e, |cb| b.rmdir(e, "/d", cb))), Errno::Enotempty);
+        persisted(0);
+
+        run(e, |cb| b.unlink(e, "/d/g", cb)).unwrap();
+        persisted(1);
+        run(e, |cb| b.rmdir(e, "/d", cb)).unwrap();
+        persisted(1);
+    }
+
+    #[test]
+    fn read_only_store_never_persists_the_index() {
+        let e = &Engine::new(Browser::Chrome);
+        let (b, persists) = counting(e, true);
+        let create = OpenFlags::parse("w").unwrap();
+        assert_eq!(errno(run(e, |cb| b.mkdir(e, "/d", cb))), Errno::Erofs);
+        assert_eq!(
+            errno(run(e, |cb| b.open(e, "/f", create, cb))),
+            Errno::Erofs
+        );
+        assert_eq!(
+            errno(run(e, |cb| b.sync(e, "/f", vec![1], cb))),
+            Errno::Erofs
+        );
+        assert_eq!(errno(run(e, |cb| b.unlink(e, "/f", cb))), Errno::Erofs);
+        assert_eq!(
+            errno(run(e, |cb| b.rename(e, "/f", "/g", cb))),
+            Errno::Erofs
+        );
+        assert_eq!(errno(run(e, |cb| b.rmdir(e, "/d", cb))), Errno::Erofs);
+        assert_eq!(persists.get(), 0);
+    }
+
+    #[test]
+    fn local_storage_persists_the_exact_index_string() {
+        let e = &Engine::new(Browser::Chrome);
+        let b = BlobBackend::new(e, LocalStorageStore::new());
+        run(e, |cb| b.mkdir(e, "/a", cb)).unwrap();
+        run(e, |cb| b.sync(e, "/a/b.txt", b"x".to_vec(), cb)).unwrap();
+        run(e, |cb| b.sync(e, "/a-b", b"y".to_vec(), cb)).unwrap();
+        run(e, |cb| b.mkdir(e, "/a/c", cb)).unwrap();
+        run(e, |cb| b.rename(e, "/a/b.txt", "/a/c/b.txt", cb)).unwrap();
+        run(e, |cb| b.sync(e, "/z", b"z".to_vec(), cb)).unwrap();
+        run(e, |cb| b.unlink(e, "/z", cb)).unwrap();
+
+        let browser = e.profile().browser.name();
+        let persisted = e
+            .with_storage(|s, _| {
+                s.sync_store(SyncMechanism::LocalStorage)
+                    .get_item(browser, LS_INDEX_KEY)
+            })
+            .unwrap();
+        assert_eq!(persisted.as_deref(), Some("D/a\nF/a-b\nD/a/c\nF/a/c/b.txt"));
+
+        // A reload restores the same tree from that string.
+        let reloaded = BlobBackend::new(e, LocalStorageStore::new());
+        assert_eq!(run(e, |cb| reloaded.readdir(e, "/a", cb)).unwrap(), ["c"]);
     }
 }

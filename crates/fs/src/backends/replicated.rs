@@ -25,8 +25,9 @@ use doppio_jsengine::Engine;
 use crate::backend::{deliver, Backend, DirIndex, FileKind, FsCallback, OpenFlags, Stat};
 use crate::error::{Errno, FsError};
 
-/// Key under which the serialized directory index is persisted in the
-/// object store (NUL-prefixed so it can never collide with a path).
+/// Key under which the serialized directory index is persisted in an
+/// object store or the Dropbox store (NUL-prefixed so it can never
+/// collide with a path).
 pub const INDEX_KEY: &str = "\u{0}index";
 
 /// Latency of a purely client-local operation (an index lookup that

@@ -174,7 +174,7 @@ impl StorageClient {
 
     /// Fetch the blob at `key` (`Ok(None)` if absent).
     pub fn kv_get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {
-        let hist = self.begin_history(engine, key, OpKind::Read);
+        let hist = self.begin_history(engine, key, || OpKind::Read);
         let trace = begin_op(engine, "storage:get");
         let inner = self.inner.clone();
         if self.inner.cache_enabled {
@@ -185,7 +185,7 @@ impl StorageClient {
                 engine.with_causal_ctx(ctx, || {
                     engine.complete_async_after(CACHE_HIT_NS, move |e| {
                         finish_op(e, &trace, false);
-                        complete_history(&inner, hist, e, observed(&value));
+                        complete_history(&inner, hist, e, &value);
                         cb(e, Ok(value));
                     });
                 });
@@ -209,7 +209,7 @@ impl StorageClient {
                         .cache
                         .insert(fill_key, value.clone());
                 }
-                complete_history(&inner, hist, e, observed(&value));
+                complete_history(&inner, hist, e, &value);
                 cb(e, Ok(value));
             }),
         );
@@ -217,13 +217,12 @@ impl StorageClient {
 
     /// Execute a journaled, replicated write.
     pub fn kv_write(&self, engine: &Engine, op: WriteOp, cb: FsCallback<()>) {
-        let kind = match &op {
+        let hist = self.begin_history(engine, op.key(), || match &op {
             WriteOp::Put { data, .. } => {
                 OpKind::Write(Some(String::from_utf8_lossy(data).into_owned()))
             }
             WriteOp::Delete { .. } => OpKind::Write(None),
-        };
-        let hist = self.begin_history(engine, op.key(), kind);
+        });
         let trace = begin_op(
             engine,
             match &op {
@@ -246,34 +245,33 @@ impl StorageClient {
             RequestOp::Write(op),
             trace,
             Box::new(move |e, _| {
-                complete_history(&inner, hist, e, None);
+                complete_history(&inner, hist, e, &None);
                 cb(e, Ok(()));
             }),
         );
     }
 
-    fn begin_history(&self, engine: &Engine, key: &str, kind: OpKind) -> Option<usize> {
+    /// Record the op's invocation; `kind` is built only if a recorder is attached.
+    fn begin_history(&self, e: &Engine, key: &str, kind: impl FnOnce() -> OpKind) -> Option<usize> {
         self.inner
             .history
             .borrow()
             .as_ref()
-            .map(|h| h.begin(&self.inner.label, key, kind, engine.now_ns()))
+            .map(|h| h.begin(&self.inner.label, key, kind(), e.now_ns()))
     }
 }
 
-fn observed(value: &Option<Vec<u8>>) -> Option<String> {
-    value
-        .as_ref()
-        .map(|v| String::from_utf8_lossy(v).into_owned())
-}
-
+/// Record a recorded op's completion, rendering what a read observed.
 fn complete_history(
     inner: &Rc<ClientInner>,
     token: Option<usize>,
     engine: &Engine,
-    obs: Option<String>,
+    value: &Option<Vec<u8>>,
 ) {
     if let (Some(t), Some(h)) = (token, inner.history.borrow().as_ref()) {
+        let obs = value
+            .as_deref()
+            .map(|v| String::from_utf8_lossy(v).into_owned());
         h.complete(t, engine.now_ns(), obs);
     }
 }
@@ -561,6 +559,59 @@ mod tests {
             "stale cache served after invalidation"
         );
         assert!(engine.metrics().counter("storage.cache.invalidate").get() >= 1);
+    }
+
+    #[test]
+    fn a_recorder_attached_mid_session_records_only_later_ops() {
+        let engine = Engine::new(Browser::Chrome);
+        let net = Network::new(&engine);
+        let cluster = StorageCluster::launch(&engine, &net, StorageConfig::default(), None);
+        let c = cluster.client("t", true);
+        put(&c, &engine, "/early", b"e");
+        assert_eq!(get(&c, &engine, "/early").unwrap(), b"e");
+        // In flight when the recorder arrives: invoked unrecorded, so
+        // its completion is not recorded either.
+        c.kv_write(
+            &engine,
+            WriteOp::Put {
+                key: "/early".into(),
+                data: b"e2".to_vec(),
+            },
+            Box::new(|_, r| r.unwrap()),
+        );
+        let history = HistoryRecorder::new();
+        c.set_history(history.clone());
+        engine.run_until_idle();
+
+        put(&c, &engine, "/k", b"v\xff");
+        assert_eq!(get(&c, &engine, "/k").unwrap(), b"v\xff");
+        assert_eq!(get(&c, &engine, "/missing"), None);
+        c.kv_write(
+            &engine,
+            WriteOp::Delete { key: "/k".into() },
+            Box::new(|_, r| r.unwrap()),
+        );
+        engine.run_until_idle();
+
+        let seen: Vec<_> = history
+            .events()
+            .into_iter()
+            .map(|ev| {
+                assert!(ev.complete_ns.is_some(), "{ev:?}");
+                (ev.key, ev.kind, ev.observed)
+            })
+            .collect();
+        let lossy = Some("v\u{fffd}".to_string());
+        assert_eq!(
+            seen,
+            [
+                ("/k".into(), OpKind::Write(lossy.clone()), None),
+                ("/k".into(), OpKind::Read, lossy),
+                ("/missing".into(), OpKind::Read, None),
+                ("/k".into(), OpKind::Write(None), None),
+            ]
+        );
+        history.check_read_your_writes().unwrap();
     }
 
     #[test]
