@@ -13,32 +13,10 @@
 //! Set `DOPPIO_BENCH_LIGHT=1` (the CI smoke profile) to skip the
 //! hosted-browser sweep and keep only the native measurements.
 
-use std::time::Instant;
-
 use doppio_bench::results::{self, Section};
 use doppio_bench::{geomean, ratio, rule};
-use doppio_jsengine::{Browser, Engine};
-use doppio_workloads::{run_workload, run_workload_hooked, RunOutcome, MACRO_WORKLOADS};
-
-/// Run one tier-up ablation leg: the workload on a native-profile
-/// engine with the tier forced on or off, host-timed from the moment
-/// the measurement counters reset. Two reps, keep the faster (host
-/// time is the one non-virtual measurement in the suite, so it gets
-/// the usual min-of-reps noise treatment).
-fn tier_leg(id: &str, tier: bool) -> (RunOutcome, u64) {
-    let mut best: Option<(RunOutcome, u64)> = None;
-    for _ in 0..2 {
-        let engine = Engine::builder(Browser::Native).tier_up(tier).build();
-        let mut t0 = Instant::now();
-        let out = run_workload_hooked(id, engine, |_| t0 = Instant::now());
-        let host_ns = t0.elapsed().as_nanos() as u64;
-        assert!(out.uncaught.is_none(), "{id} failed (tier_up={tier})");
-        if best.as_ref().is_none_or(|(_, b)| host_ns < *b) {
-            best = Some((out, host_ns));
-        }
-    }
-    best.unwrap()
-}
+use doppio_jsengine::Browser;
+use doppio_workloads::{run_workload, MACRO_WORKLOADS};
 
 fn main() {
     println!("Figure 3: macro benchmarks, slowdown vs the native interpreter baseline");
@@ -76,58 +54,6 @@ fn main() {
         print!("{:>9}", ratio(g));
     }
     println!();
-
-    // Tier-up ablation: the same workloads with the second tier forced
-    // on and off. Every virtual observable must be byte-identical (the
-    // tier charges the switch interpreter's exact cost sequence); only
-    // *host* time may differ. Host numbers go to stderr so the stdout
-    // transcript stays deterministic for CI's tier-on/tier-off diff.
-    eprintln!("\ntier-up ablation (host time, native profile, min of 2 reps):");
-    let mut wins = 0;
-    for id in MACRO_WORKLOADS {
-        let (on, on_host) = tier_leg(id, true);
-        let (off, off_host) = tier_leg(id, false);
-        assert_eq!(on.stdout, off.stdout, "{id}: tier changed stdout");
-        assert_eq!(
-            on.wall_ns, off.wall_ns,
-            "{id}: tier moved the virtual clock"
-        );
-        assert_eq!(
-            on.instructions, off.instructions,
-            "{id}: tier changed the instruction count"
-        );
-        assert_eq!(
-            on.report.to_json_string(),
-            off.report.to_json_string(),
-            "{id}: tier changed the RunReport"
-        );
-        let speedup = off_host as f64 / on_host.max(1) as f64;
-        if speedup >= 1.25 {
-            wins += 1;
-        }
-        eprintln!(
-            "{:>14} | on {:>8.1} ms  off {:>8.1} ms  speedup {:.2}x",
-            id,
-            on_host as f64 / 1e6,
-            off_host as f64 / 1e6,
-            speedup
-        );
-        for (suffix, out, host) in [
-            ("tier_up_on", &on, on_host),
-            ("tier_up_off", &off, off_host),
-        ] {
-            let mut sec = results::run_section(out);
-            sec.push(("host_wall_ns".into(), host as f64));
-            if suffix == "tier_up_on" {
-                sec.push(("host_speedup".into(), speedup));
-            }
-            sections.push((format!("fig3_macro.{id}.{suffix}"), sec));
-        }
-    }
-    eprintln!(
-        "{wins}/{} workloads at >=1.25x host speedup",
-        MACRO_WORKLOADS.len()
-    );
 
     let path = results::write_sections(sections);
     println!("\nresults appended to {}", path.display());

@@ -143,15 +143,7 @@ impl RunReport {
             top_self: p.top_self(TOP_N),
             top_total: p.top_total(TOP_N),
         });
-        // `jvm.tier.*` counters describe which execution tier ran —
-        // host-side bookkeeping that must not leak into reports, so a
-        // tiered and an untiered run of the same program stay
-        // byte-identical (the tier-up CI oracle depends on this).
-        let counters = metrics
-            .with_prefix("")
-            .into_iter()
-            .filter(|(name, _)| !name.starts_with("jvm.tier."))
-            .collect();
+        let counters = metrics.with_prefix("");
         RunReport {
             title: title.into(),
             now_ns: engine.now_ns(),

@@ -64,11 +64,6 @@ struct Inner {
     /// profiler uses it as the stack root for attribution.
     current_event: Cell<Option<EventKind>>,
     profiler: Option<Profiler>,
-    /// Whether guest interpreters hosted on this engine may tier hot
-    /// methods up to their direct-threaded form. Purely a host-speed
-    /// switch: tiered execution charges the identical virtual-cost
-    /// sequence, so flipping this cannot change simulated results.
-    tier_up: bool,
 }
 
 /// Counter handles resolved once at construction, so the charge path
@@ -194,7 +189,6 @@ pub struct EngineBuilder {
     watchdog_override: Option<Option<u64>>,
     rng_seed: u64,
     obs: ObservabilityOptions,
-    tier_up: bool,
 }
 
 impl EngineBuilder {
@@ -212,7 +206,6 @@ impl EngineBuilder {
             watchdog_override: None,
             rng_seed: 0,
             obs: ObservabilityOptions::default(),
-            tier_up: tier_up_env_default(),
         }
     }
 
@@ -250,17 +243,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Allow (or forbid) guest interpreters to tier hot methods up to
-    /// their direct-threaded form. Defaults to the `DOPPIO_TIER_UP`
-    /// environment variable (`off`/`0` disables it; anything else —
-    /// including unset — enables it).
-    ///
-    /// The switch only affects *host* speed: the tiered form charges
-    /// the same virtual-cost and counter sequence as the switch
-    /// interpreter, so transcripts, reports, and schedules are
-    /// byte-identical either way (CI asserts this).
-    pub fn tier_up(mut self, on: bool) -> EngineBuilder {
-        self.tier_up = on;
+    /// Accepted for source compatibility and ignored: guest
+    /// interpreters have a single executor, so there is no tier to
+    /// switch.
+    pub fn tier_up(self, _on: bool) -> EngineBuilder {
         self
     }
 
@@ -343,20 +329,8 @@ impl EngineBuilder {
                 event_depth: Cell::new(0),
                 current_event: Cell::new(None),
                 profiler: self.obs.profiler,
-                tier_up: self.tier_up,
             }),
         }
-    }
-}
-
-/// The `DOPPIO_TIER_UP` default: on unless explicitly disabled.
-fn tier_up_env_default() -> bool {
-    match std::env::var("DOPPIO_TIER_UP") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            v != "off" && v != "0" && v != "false"
-        }
-        Err(_) => true,
     }
 }
 
@@ -401,13 +375,6 @@ impl Engine {
     /// Which browser this engine simulates.
     pub fn browser(&self) -> Browser {
         self.inner.profile.browser
-    }
-
-    /// Whether guest interpreters may tier hot methods up (see
-    /// [`EngineBuilder::tier_up`]). Never affects virtual time.
-    #[inline]
-    pub fn tier_up_enabled(&self) -> bool {
-        self.inner.tier_up
     }
 
     /// Current virtual time in nanoseconds.
@@ -993,20 +960,6 @@ mod tests {
         let t0 = e.now_ns();
         e.charge(Cost::Dispatch);
         assert!(e.now_ns() - t0 > unit);
-    }
-
-    #[test]
-    fn tier_up_builder_knob_overrides_the_default() {
-        // The default comes from DOPPIO_TIER_UP (unset in tests ⇒ on);
-        // an explicit builder call wins either way.
-        assert!(EngineBuilder::new(Browser::Chrome)
-            .tier_up(true)
-            .build()
-            .tier_up_enabled());
-        assert!(!EngineBuilder::new(Browser::Chrome)
-            .tier_up(false)
-            .build()
-            .tier_up_enabled());
     }
 
     #[test]

@@ -136,9 +136,7 @@ mod tests {
             synchronized: false,
             is_static: true,
             line_numbers: vec![],
-            ics: std::cell::RefCell::new(std::collections::HashMap::new()),
-            hotness: std::cell::Cell::new(0),
-            tiered: std::cell::RefCell::new(None),
+            ops: std::cell::OnceCell::new(),
         })
     }
 

@@ -1,20 +1,20 @@
-//! The bytecode interpreter (§6).
+//! The interpreter's runtime (§6): resolution, invocation, exceptions,
+//! monitors and allocation.
 //!
-//! DoppioJVM "implements all 201 bytecode instructions specified in the
-//! second edition of the Java Virtual Machine Specification". One call
-//! to [`step`] executes one instruction against the explicit frame
-//! stack. Anything that cannot complete synchronously — a class that
-//! must be downloaded, a native method waiting on an asynchronous
-//! browser API, a contended monitor — is reported to the hosting
-//! thread, which suspends through the Doppio execution environment and
-//! retries or resumes later. Instructions that may block never mutate
-//! the operand stack before deciding to block, so retrying is sound.
+//! [`run`] executes the top frame of a thread's explicit frame stack
+//! through its decoded op stream (see [`crate::exec`]). Anything that
+//! cannot complete synchronously — a class that must be downloaded, a
+//! native method waiting on an asynchronous browser API, a contended
+//! monitor — is reported to the hosting thread, which suspends through
+//! the Doppio execution environment and retries or resumes later.
+//! Instructions that may block never mutate the operand stack before
+//! deciding to block, so retrying is sound.
 //!
 //! Exception handling (§6.6) never touches the JavaScript exception
 //! machinery: [`dispatch_exception`] walks the virtual frame stack for
 //! a handler, exactly as the paper describes.
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
 
 use doppio_classfile::{access, opcodes as op, Constant};
@@ -23,15 +23,16 @@ use doppio_jsengine::Cost;
 use doppio_trace::cat;
 
 use crate::class::{ClassConst, ClassId, ClinitState, CpEntry, ResolvedField};
+use crate::exec;
 use crate::frame::Frame;
 use crate::natives::{self, NativeCtx, PendingNative};
 use crate::object::HeapObj;
 use crate::state::{CallSite, JvmState};
 use crate::value::{ObjRef, Value};
 
-/// Outcome of executing one instruction.
+/// Why the interpreter handed control back to the hosting thread.
 pub enum StepResult {
-    /// Instruction completed.
+    /// Keep running: re-enter the top frame at its pc.
     Continue,
     /// A frame was pushed or popped: the §6.1 suspend-check boundary.
     CallBoundary,
@@ -56,14 +57,13 @@ pub enum StepResult {
 }
 
 /// Run the top frame until the thread must leave the interpreter: the
-/// hosting thread's slice loop calls this instead of single-stepping.
+/// hosting thread's slice loop calls this, and sees only results other
+/// than `Continue`.
 ///
-/// When tier-up is enabled ([`JvmState::tier_up`]) and the top frame's
-/// method has (or earns) a compiled [`crate::tiered::TieredCode`], the
-/// direct-threaded tier executes it; otherwise the switch interpreter
-/// steps. Both tiers charge the identical virtual-cost and counter
-/// sequence, so which one ran is unobservable in transcripts, reports,
-/// and schedules — the switch interpreter is the deopt oracle.
+/// A method is decoded the first time one of its frames runs. A method
+/// the decoder rejects throws `java/lang/InternalError` at its
+/// invocation: its frame is popped unrun and the error dispatched from
+/// the caller.
 pub fn run(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
@@ -71,1486 +71,25 @@ pub fn run(
     tid: ThreadId,
 ) -> StepResult {
     loop {
-        let sr = if state.tier_up {
-            match crate::tiered::enter(state, frames, ctx) {
-                Some(code) => crate::tiered::run_tiered(state, frames, ctx, tid, &code),
-                None => step(state, frames, ctx, tid),
-            }
-        } else {
-            step(state, frames, ctx, tid)
+        let Some(frame) = frames.last() else {
+            return StepResult::Finished;
         };
-        match sr {
-            StepResult::Continue => {}
-            other => return other,
-        }
-    }
-}
-
-/// Execute one instruction of the top frame.
-pub fn step(
-    state: &mut JvmState,
-    frames: &mut Vec<Frame>,
-    ctx: &mut ThreadContext<'_>,
-    tid: ThreadId,
-) -> StepResult {
-    let Some(frame) = frames.last_mut() else {
-        return StepResult::Finished;
-    };
-    if frame.pc >= frame.code.bytecode.len() {
-        // Falling off the end only happens for malformed code.
-        return throw_vm(
-            state,
-            frames,
-            ctx,
-            tid,
-            "java/lang/InternalError",
-            "pc out of range",
-        );
-    }
-
-    state.instructions += 1;
-    state.engine.charge(Cost::Dispatch);
-
-    let code = frame.code.clone();
-    let bc = &code.bytecode;
-    let pc = frame.pc;
-    let opcode = bc[pc];
-
-    macro_rules! u8_at {
-        ($off:expr) => {
-            bc[pc + $off]
+        let blob = frame.code.clone();
+        let sr = match blob.ops() {
+            Ok(code) => exec::execute(state, frames, ctx, tid, blob.class, code),
+            Err(why) => {
+                let msg = format!(
+                    "{}.{}: {why}",
+                    state.registry.get(blob.class).name,
+                    blob.name
+                );
+                pop_frame(state, frames, ctx, tid);
+                throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg)
+            }
         };
-    }
-    macro_rules! u16_at {
-        ($off:expr) => {
-            u16::from_be_bytes([bc[pc + $off], bc[pc + $off + 1]])
-        };
-    }
-    macro_rules! i16_at {
-        ($off:expr) => {
-            i16::from_be_bytes([bc[pc + $off], bc[pc + $off + 1]])
-        };
-    }
-    macro_rules! i32_at {
-        ($off:expr) => {
-            i32::from_be_bytes([
-                bc[pc + $off],
-                bc[pc + $off + 1],
-                bc[pc + $off + 2],
-                bc[pc + $off + 3],
-            ])
-        };
-    }
-
-    // Most instructions fall through to `frame.pc = pc + len`.
-    let mut next_pc = pc + 1 + fixed_operand_len(opcode, bc, pc);
-
-    match opcode {
-        op::NOP => {}
-
-        // ---- constants ----
-        op::ACONST_NULL => frame.push(Value::null()),
-        op::ICONST_M1..=op::ICONST_5 => {
-            state.engine.charge(Cost::IntOp);
-            frame.push(Value::Int(opcode as i32 - op::ICONST_0 as i32));
+        if !matches!(sr, StepResult::Continue) {
+            return sr;
         }
-        op::LCONST_0 | op::LCONST_1 => {
-            state.engine.charge(Cost::LongOp);
-            frame.push(Value::Long((opcode - op::LCONST_0) as i64));
-        }
-        op::FCONST_0..=op::FCONST_2 => {
-            state.engine.charge(Cost::FloatOp);
-            frame.push(Value::Float((opcode - op::FCONST_0) as f32));
-        }
-        op::DCONST_0 | op::DCONST_1 => {
-            state.engine.charge(Cost::FloatOp);
-            frame.push(Value::Double((opcode - op::DCONST_0) as f64));
-        }
-        op::BIPUSH => {
-            state.engine.charge(Cost::IntOp);
-            frame.push(Value::Int(u8_at!(1) as i8 as i32));
-        }
-        op::SIPUSH => {
-            state.engine.charge(Cost::IntOp);
-            frame.push(Value::Int(i16_at!(1) as i32));
-        }
-        op::LDC | op::LDC_W | op::LDC2_W => {
-            let idx = if opcode == op::LDC {
-                u16::from(u8_at!(1))
-            } else {
-                u16_at!(1)
-            };
-            // Fast path: the quickened entry holds the decoded value
-            // (or the already-interned object handle).
-            let cached = state
-                .registry
-                .get(code.class)
-                .cp_cache
-                .borrow()
-                .get(&idx)
-                .cloned();
-            match cached {
-                Some(CpEntry::Value(v)) => {
-                    state.perf.cp_hit.inc();
-                    if matches!(v, Value::Long(_)) {
-                        state.engine.charge(Cost::LongOp);
-                    }
-                    frame.push(v);
-                }
-                Some(CpEntry::Obj(r)) => {
-                    // Shared interned handle: one map-sized operation
-                    // instead of a per-character copy + pool probe.
-                    state.perf.cp_hit.inc();
-                    state.engine.charge(Cost::MapOp);
-                    frame.push(Value::Ref(Some(r)));
-                }
-                Some(CpEntry::Class(ref cc)) if cc.mirror.get().is_some() => {
-                    state.perf.cp_hit.inc();
-                    state.engine.charge(Cost::MapOp);
-                    frame.push(Value::Ref(cc.mirror.get()));
-                }
-                cached => {
-                    note_cp_miss(state, ctx, "ldc");
-                    let cf = state
-                        .registry
-                        .get(code.class)
-                        .cf
-                        .as_ref()
-                        .expect("code class");
-                    let constant = match cf.constant_pool.get(idx) {
-                        Ok(c) => c.clone(),
-                        Err(e) => {
-                            let msg = format!("bad ldc: {e}");
-                            return throw_vm(
-                                state,
-                                frames,
-                                ctx,
-                                tid,
-                                "java/lang/InternalError",
-                                &msg,
-                            );
-                        }
-                    };
-                    match constant {
-                        Constant::Integer(v) => {
-                            quicken(state, code.class, idx, CpEntry::Value(Value::Int(v)));
-                            frame.push(Value::Int(v));
-                        }
-                        Constant::Float(v) => {
-                            quicken(state, code.class, idx, CpEntry::Value(Value::Float(v)));
-                            frame.push(Value::Float(v));
-                        }
-                        Constant::Long(v) => {
-                            state.engine.charge(Cost::LongOp);
-                            quicken(state, code.class, idx, CpEntry::Value(Value::Long(v)));
-                            frame.push(Value::Long(v));
-                        }
-                        Constant::Double(v) => {
-                            quicken(state, code.class, idx, CpEntry::Value(Value::Double(v)));
-                            frame.push(Value::Double(v));
-                        }
-                        Constant::String { .. } => {
-                            let s = cf.constant_pool.string(idx).unwrap_or_default().to_string();
-                            state.engine.charge_n(Cost::StringOp, s.len() as u64);
-                            let r = state.intern_string(&s);
-                            quicken(state, code.class, idx, CpEntry::Obj(r));
-                            frame.push(Value::Ref(Some(r)));
-                        }
-                        Constant::Class { .. } => {
-                            let name = cf
-                                .constant_pool
-                                .class_name(idx)
-                                .unwrap_or_default()
-                                .to_string();
-                            // Keep an entry installed by `new` etc. so
-                            // its resolved id survives the mirror fill.
-                            let cc = match cached {
-                                Some(CpEntry::Class(cc)) => cc,
-                                _ => Rc::new(ClassConst {
-                                    name: Rc::from(name.as_str()),
-                                    init_id: Cell::new(None),
-                                    mirror: Cell::new(None),
-                                }),
-                            };
-                            let r = class_object(state, &name);
-                            cc.mirror.set(Some(r));
-                            quicken(state, code.class, idx, CpEntry::Class(cc));
-                            frame.push(Value::Ref(Some(r)));
-                        }
-                        other => {
-                            let msg = format!("ldc of unsupported constant {other:?}");
-                            return throw_vm(
-                                state,
-                                frames,
-                                ctx,
-                                tid,
-                                "java/lang/InternalError",
-                                &msg,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- loads ----
-        op::ILOAD | op::FLOAD | op::ALOAD => {
-            state.engine.charge(Cost::IntOp);
-            let v = frame.local(u8_at!(1) as usize);
-            frame.push(v);
-        }
-        op::LLOAD | op::DLOAD => {
-            state.engine.charge(Cost::LongOp);
-            let v = frame.local(u8_at!(1) as usize);
-            frame.push(v);
-        }
-        op::ILOAD_0..=op::ILOAD_3 => {
-            state.engine.charge(Cost::IntOp);
-            let v = frame.local((opcode - op::ILOAD_0) as usize);
-            frame.push(v);
-        }
-        op::LLOAD_0..=op::LLOAD_3 => {
-            state.engine.charge(Cost::LongOp);
-            let v = frame.local((opcode - op::LLOAD_0) as usize);
-            frame.push(v);
-        }
-        op::FLOAD_0..=op::FLOAD_3 => {
-            state.engine.charge(Cost::FloatOp);
-            let v = frame.local((opcode - op::FLOAD_0) as usize);
-            frame.push(v);
-        }
-        op::DLOAD_0..=op::DLOAD_3 => {
-            state.engine.charge(Cost::FloatOp);
-            let v = frame.local((opcode - op::DLOAD_0) as usize);
-            frame.push(v);
-        }
-        op::ALOAD_0..=op::ALOAD_3 => {
-            state.engine.charge(Cost::IntOp);
-            let v = frame.local((opcode - op::ALOAD_0) as usize);
-            frame.push(v);
-        }
-
-        // ---- array loads ----
-        op::IALOAD
-        | op::LALOAD
-        | op::FALOAD
-        | op::DALOAD
-        | op::AALOAD
-        | op::BALOAD
-        | op::CALOAD
-        | op::SALOAD => {
-            state.engine.charge(Cost::ArrayGet);
-            let index = frame.pop_int();
-            let arr = frame.pop_ref();
-            let Some(arr) = arr else {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/NullPointerException",
-                    "array load",
-                );
-            };
-            let len = state.heap.get(arr).array_len().unwrap_or(0);
-            if index < 0 || index as usize >= len {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/ArrayIndexOutOfBoundsException",
-                    &format!("index {index}, length {len}"),
-                );
-            }
-            let i = index as usize;
-            let v = match state.heap.get(arr) {
-                HeapObj::ArrayInt(v) => Value::Int(v[i]),
-                HeapObj::ArrayLong(v) => Value::Long(v[i]),
-                HeapObj::ArrayFloat(v) => Value::Float(v[i]),
-                HeapObj::ArrayDouble(v) => Value::Double(v[i]),
-                HeapObj::ArrayByte(v) => Value::Int(v[i] as i32),
-                HeapObj::ArrayChar(v) => Value::Int(v[i] as i32),
-                HeapObj::ArrayShort(v) => Value::Int(v[i] as i32),
-                HeapObj::ArrayRef { data, .. } => Value::Ref(data[i]),
-                _ => {
-                    return throw_vm(
-                        state,
-                        frames,
-                        ctx,
-                        tid,
-                        "java/lang/InternalError",
-                        "not an array",
-                    )
-                }
-            };
-            frames.last_mut().expect("frame").push(v);
-        }
-
-        // ---- stores ----
-        op::ISTORE | op::FSTORE | op::ASTORE => {
-            state.engine.charge(Cost::IntOp);
-            let v = frame.pop();
-            frame.set_local(u8_at!(1) as usize, v);
-        }
-        op::LSTORE | op::DSTORE => {
-            state.engine.charge(Cost::LongOp);
-            let v = frame.pop();
-            frame.set_local(u8_at!(1) as usize, v);
-        }
-        op::ISTORE_0..=op::ISTORE_3 => {
-            state.engine.charge(Cost::IntOp);
-            let v = frame.pop();
-            frame.set_local((opcode - op::ISTORE_0) as usize, v);
-        }
-        op::LSTORE_0..=op::LSTORE_3 => {
-            state.engine.charge(Cost::LongOp);
-            let v = frame.pop();
-            frame.set_local((opcode - op::LSTORE_0) as usize, v);
-        }
-        op::FSTORE_0..=op::FSTORE_3 => {
-            state.engine.charge(Cost::FloatOp);
-            let v = frame.pop();
-            frame.set_local((opcode - op::FSTORE_0) as usize, v);
-        }
-        op::DSTORE_0..=op::DSTORE_3 => {
-            state.engine.charge(Cost::FloatOp);
-            let v = frame.pop();
-            frame.set_local((opcode - op::DSTORE_0) as usize, v);
-        }
-        op::ASTORE_0..=op::ASTORE_3 => {
-            state.engine.charge(Cost::IntOp);
-            let v = frame.pop();
-            frame.set_local((opcode - op::ASTORE_0) as usize, v);
-        }
-
-        // ---- array stores ----
-        op::IASTORE
-        | op::LASTORE
-        | op::FASTORE
-        | op::DASTORE
-        | op::AASTORE
-        | op::BASTORE
-        | op::CASTORE
-        | op::SASTORE => {
-            state.engine.charge(Cost::ArrayPut);
-            let value = frame.pop();
-            let index = frame.pop_int();
-            let arr = frame.pop_ref();
-            let Some(arr) = arr else {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/NullPointerException",
-                    "array store",
-                );
-            };
-            let len = state.heap.get(arr).array_len().unwrap_or(0);
-            if index < 0 || index as usize >= len {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/ArrayIndexOutOfBoundsException",
-                    &format!("index {index}, length {len}"),
-                );
-            }
-            let i = index as usize;
-            match (state.heap.get_mut(arr), value) {
-                (HeapObj::ArrayInt(v), Value::Int(x)) => v[i] = x,
-                (HeapObj::ArrayLong(v), Value::Long(x)) => v[i] = x,
-                (HeapObj::ArrayFloat(v), Value::Float(x)) => v[i] = x,
-                (HeapObj::ArrayDouble(v), Value::Double(x)) => v[i] = x,
-                (HeapObj::ArrayByte(v), Value::Int(x)) => v[i] = x as i8,
-                (HeapObj::ArrayChar(v), Value::Int(x)) => v[i] = x as u16,
-                (HeapObj::ArrayShort(v), Value::Int(x)) => v[i] = x as i16,
-                (HeapObj::ArrayRef { data, .. }, Value::Ref(r)) => data[i] = r,
-                _ => {
-                    return throw_vm(
-                        state,
-                        frames,
-                        ctx,
-                        tid,
-                        "java/lang/ArrayStoreException",
-                        "element type mismatch",
-                    )
-                }
-            }
-        }
-
-        // ---- stack shuffles (slot-level, §6.1's explicit arrays) ----
-        op::POP => {
-            frame.pop_slot();
-        }
-        op::POP2 => {
-            frame.pop_slot();
-            frame.pop_slot();
-        }
-        op::DUP => {
-            let v = *frame.peek(0);
-            frame.stack.push(v);
-        }
-        op::DUP_X1 => {
-            let v1 = frame.pop_slot();
-            let v2 = frame.pop_slot();
-            frame.stack.push(v1);
-            frame.stack.push(v2);
-            frame.stack.push(v1);
-        }
-        op::DUP_X2 => {
-            let v1 = frame.pop_slot();
-            let v2 = frame.pop_slot();
-            let v3 = frame.pop_slot();
-            frame.stack.push(v1);
-            frame.stack.push(v3);
-            frame.stack.push(v2);
-            frame.stack.push(v1);
-        }
-        op::DUP2 => {
-            let v1 = *frame.peek(0);
-            let v2 = *frame.peek(1);
-            frame.stack.push(v2);
-            frame.stack.push(v1);
-        }
-        op::DUP2_X1 => {
-            let v1 = frame.pop_slot();
-            let v2 = frame.pop_slot();
-            let v3 = frame.pop_slot();
-            frame.stack.push(v2);
-            frame.stack.push(v1);
-            frame.stack.push(v3);
-            frame.stack.push(v2);
-            frame.stack.push(v1);
-        }
-        op::DUP2_X2 => {
-            let v1 = frame.pop_slot();
-            let v2 = frame.pop_slot();
-            let v3 = frame.pop_slot();
-            let v4 = frame.pop_slot();
-            frame.stack.push(v2);
-            frame.stack.push(v1);
-            frame.stack.push(v4);
-            frame.stack.push(v3);
-            frame.stack.push(v2);
-            frame.stack.push(v1);
-        }
-        op::SWAP => {
-            let v1 = frame.pop_slot();
-            let v2 = frame.pop_slot();
-            frame.stack.push(v1);
-            frame.stack.push(v2);
-        }
-
-        // ---- int arithmetic ----
-        op::IADD
-        | op::ISUB
-        | op::IMUL
-        | op::ISHL
-        | op::ISHR
-        | op::IUSHR
-        | op::IAND
-        | op::IOR
-        | op::IXOR => {
-            state.engine.charge(Cost::IntOp);
-            let b = frame.pop_int();
-            let a = frame.pop_int();
-            let r = match opcode {
-                op::IADD => a.wrapping_add(b),
-                op::ISUB => a.wrapping_sub(b),
-                op::IMUL => a.wrapping_mul(b),
-                op::ISHL => a.wrapping_shl(b as u32 & 31),
-                op::ISHR => a.wrapping_shr(b as u32 & 31),
-                op::IUSHR => ((a as u32).wrapping_shr(b as u32 & 31)) as i32,
-                op::IAND => a & b,
-                op::IOR => a | b,
-                _ => a ^ b,
-            };
-            frame.push(Value::Int(r));
-        }
-        op::IDIV | op::IREM => {
-            state.engine.charge(Cost::IntOp);
-            let b = frame.pop_int();
-            let a = frame.pop_int();
-            if b == 0 {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/ArithmeticException",
-                    "/ by zero",
-                );
-            }
-            let r = if opcode == op::IDIV {
-                a.wrapping_div(b)
-            } else {
-                a.wrapping_rem(b)
-            };
-            frame.push(Value::Int(r));
-        }
-        op::INEG => {
-            state.engine.charge(Cost::IntOp);
-            let a = frame.pop_int();
-            frame.push(Value::Int(a.wrapping_neg()));
-        }
-
-        // ---- long arithmetic (software Int64 territory, §8) ----
-        op::LADD | op::LSUB | op::LMUL | op::LAND | op::LOR | op::LXOR => {
-            state.engine.charge(Cost::LongOp);
-            let b = frame.pop_long();
-            let a = frame.pop_long();
-            let r = match opcode {
-                op::LADD => a.wrapping_add(b),
-                op::LSUB => a.wrapping_sub(b),
-                op::LMUL => a.wrapping_mul(b),
-                op::LAND => a & b,
-                op::LOR => a | b,
-                _ => a ^ b,
-            };
-            frame.push(Value::Long(r));
-        }
-        op::LDIV | op::LREM => {
-            state.engine.charge(Cost::LongOp);
-            let b = frame.pop_long();
-            let a = frame.pop_long();
-            if b == 0 {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/ArithmeticException",
-                    "/ by zero",
-                );
-            }
-            let r = if opcode == op::LDIV {
-                a.wrapping_div(b)
-            } else {
-                a.wrapping_rem(b)
-            };
-            frame.push(Value::Long(r));
-        }
-        op::LSHL | op::LSHR | op::LUSHR => {
-            state.engine.charge(Cost::LongOp);
-            let b = frame.pop_int();
-            let a = frame.pop_long();
-            let s = b as u32 & 63;
-            let r = match opcode {
-                op::LSHL => a.wrapping_shl(s),
-                op::LSHR => a.wrapping_shr(s),
-                _ => ((a as u64).wrapping_shr(s)) as i64,
-            };
-            frame.push(Value::Long(r));
-        }
-        op::LNEG => {
-            state.engine.charge(Cost::LongOp);
-            let a = frame.pop_long();
-            frame.push(Value::Long(a.wrapping_neg()));
-        }
-
-        // ---- float/double arithmetic ----
-        op::FADD | op::FSUB | op::FMUL | op::FDIV | op::FREM => {
-            state.engine.charge(Cost::FloatOp);
-            let b = frame.pop_float();
-            let a = frame.pop_float();
-            let r = match opcode {
-                op::FADD => a + b,
-                op::FSUB => a - b,
-                op::FMUL => a * b,
-                op::FDIV => a / b,
-                _ => a % b,
-            };
-            frame.push(Value::Float(r));
-        }
-        op::DADD | op::DSUB | op::DMUL | op::DDIV | op::DREM => {
-            state.engine.charge(Cost::FloatOp);
-            let b = frame.pop_double();
-            let a = frame.pop_double();
-            let r = match opcode {
-                op::DADD => a + b,
-                op::DSUB => a - b,
-                op::DMUL => a * b,
-                op::DDIV => a / b,
-                _ => a % b,
-            };
-            frame.push(Value::Double(r));
-        }
-        op::FNEG => {
-            state.engine.charge(Cost::FloatOp);
-            let a = frame.pop_float();
-            frame.push(Value::Float(-a));
-        }
-        op::DNEG => {
-            state.engine.charge(Cost::FloatOp);
-            let a = frame.pop_double();
-            frame.push(Value::Double(-a));
-        }
-
-        op::IINC => {
-            state.engine.charge(Cost::IntOp);
-            let idx = u8_at!(1) as usize;
-            let delta = u8_at!(2) as i8 as i32;
-            let v = frame.local(idx).as_int();
-            frame.set_local(idx, Value::Int(v.wrapping_add(delta)));
-        }
-
-        // ---- conversions ----
-        op::I2L => {
-            state.engine.charge(Cost::LongOp);
-            let v = frame.pop_int();
-            frame.push(Value::Long(v as i64));
-        }
-        op::I2F => {
-            state.engine.charge(Cost::FloatOp);
-            let v = frame.pop_int();
-            frame.push(Value::Float(v as f32));
-        }
-        op::I2D => {
-            state.engine.charge(Cost::FloatOp);
-            let v = frame.pop_int();
-            frame.push(Value::Double(v as f64));
-        }
-        op::L2I => {
-            state.engine.charge(Cost::LongOp);
-            let v = frame.pop_long();
-            frame.push(Value::Int(v as i32));
-        }
-        op::L2F => {
-            state.engine.charge(Cost::LongOp);
-            let v = frame.pop_long();
-            frame.push(Value::Float(v as f32));
-        }
-        op::L2D => {
-            state.engine.charge(Cost::LongOp);
-            let v = frame.pop_long();
-            frame.push(Value::Double(v as f64));
-        }
-        op::F2I => {
-            state.engine.charge(Cost::FloatOp);
-            let v = frame.pop_float();
-            frame.push(Value::Int(f2i(v as f64)));
-        }
-        op::F2L => {
-            state.engine.charge(Cost::LongOp);
-            let v = frame.pop_float();
-            frame.push(Value::Long(f2l(v as f64)));
-        }
-        op::F2D => {
-            state.engine.charge(Cost::FloatOp);
-            let v = frame.pop_float();
-            frame.push(Value::Double(v as f64));
-        }
-        op::D2I => {
-            state.engine.charge(Cost::FloatOp);
-            let v = frame.pop_double();
-            frame.push(Value::Int(f2i(v)));
-        }
-        op::D2L => {
-            state.engine.charge(Cost::LongOp);
-            let v = frame.pop_double();
-            frame.push(Value::Long(f2l(v)));
-        }
-        op::D2F => {
-            state.engine.charge(Cost::FloatOp);
-            let v = frame.pop_double();
-            frame.push(Value::Float(v as f32));
-        }
-        op::I2B => {
-            state.engine.charge(Cost::IntOp);
-            let v = frame.pop_int();
-            frame.push(Value::Int(v as i8 as i32));
-        }
-        op::I2C => {
-            state.engine.charge(Cost::IntOp);
-            let v = frame.pop_int();
-            frame.push(Value::Int(v as u16 as i32));
-        }
-        op::I2S => {
-            state.engine.charge(Cost::IntOp);
-            let v = frame.pop_int();
-            frame.push(Value::Int(v as i16 as i32));
-        }
-
-        // ---- comparisons ----
-        op::LCMP => {
-            state.engine.charge(Cost::LongOp);
-            let b = frame.pop_long();
-            let a = frame.pop_long();
-            frame.push(Value::Int(match a.cmp(&b) {
-                std::cmp::Ordering::Less => -1,
-                std::cmp::Ordering::Equal => 0,
-                std::cmp::Ordering::Greater => 1,
-            }));
-        }
-        op::FCMPL | op::FCMPG => {
-            state.engine.charge(Cost::FloatOp);
-            let b = frame.pop_float();
-            let a = frame.pop_float();
-            frame.push(Value::Int(fp_cmp(a as f64, b as f64, opcode == op::FCMPG)));
-        }
-        op::DCMPL | op::DCMPG => {
-            state.engine.charge(Cost::FloatOp);
-            let b = frame.pop_double();
-            let a = frame.pop_double();
-            frame.push(Value::Int(fp_cmp(a, b, opcode == op::DCMPG)));
-        }
-
-        // ---- branches ----
-        op::IFEQ..=op::IFLE => {
-            state.engine.charge(Cost::Branch);
-            let v = frame.pop_int();
-            let taken = match opcode {
-                op::IFEQ => v == 0,
-                op::IFNE => v != 0,
-                op::IFLT => v < 0,
-                op::IFGE => v >= 0,
-                op::IFGT => v > 0,
-                _ => v <= 0,
-            };
-            if taken {
-                next_pc = (pc as i64 + i16_at!(1) as i64) as usize;
-            }
-        }
-        op::IF_ICMPEQ..=op::IF_ICMPLE => {
-            state.engine.charge(Cost::Branch);
-            let b = frame.pop_int();
-            let a = frame.pop_int();
-            let taken = match opcode {
-                op::IF_ICMPEQ => a == b,
-                op::IF_ICMPNE => a != b,
-                op::IF_ICMPLT => a < b,
-                op::IF_ICMPGE => a >= b,
-                op::IF_ICMPGT => a > b,
-                _ => a <= b,
-            };
-            if taken {
-                next_pc = (pc as i64 + i16_at!(1) as i64) as usize;
-            }
-        }
-        op::IF_ACMPEQ | op::IF_ACMPNE => {
-            state.engine.charge(Cost::Branch);
-            let b = frame.pop_ref();
-            let a = frame.pop_ref();
-            let taken = (a == b) == (opcode == op::IF_ACMPEQ);
-            if taken {
-                next_pc = (pc as i64 + i16_at!(1) as i64) as usize;
-            }
-        }
-        op::IFNULL | op::IFNONNULL => {
-            state.engine.charge(Cost::Branch);
-            let v = frame.pop_ref();
-            let taken = v.is_none() == (opcode == op::IFNULL);
-            if taken {
-                next_pc = (pc as i64 + i16_at!(1) as i64) as usize;
-            }
-        }
-        op::GOTO => {
-            state.engine.charge(Cost::Branch);
-            next_pc = (pc as i64 + i16_at!(1) as i64) as usize;
-        }
-        op::GOTO_W => {
-            state.engine.charge(Cost::Branch);
-            next_pc = (pc as i64 + i32_at!(1) as i64) as usize;
-        }
-        op::JSR => {
-            frame.push(Value::RetAddr(pc + 3));
-            next_pc = (pc as i64 + i16_at!(1) as i64) as usize;
-        }
-        op::JSR_W => {
-            frame.push(Value::RetAddr(pc + 5));
-            next_pc = (pc as i64 + i32_at!(1) as i64) as usize;
-        }
-        op::RET => {
-            let idx = u8_at!(1) as usize;
-            match frame.local(idx) {
-                Value::RetAddr(a) => next_pc = a,
-                other => {
-                    return throw_vm(
-                        state,
-                        frames,
-                        ctx,
-                        tid,
-                        "java/lang/InternalError",
-                        &format!("ret of non-returnAddress {other:?}"),
-                    )
-                }
-            }
-        }
-
-        op::TABLESWITCH => {
-            state.engine.charge(Cost::Branch);
-            let v = frame.pop_int();
-            let base = (pc + 4) & !3;
-            let default = i32::from_be_bytes([bc[base], bc[base + 1], bc[base + 2], bc[base + 3]]);
-            let low = i32::from_be_bytes([bc[base + 4], bc[base + 5], bc[base + 6], bc[base + 7]]);
-            let high =
-                i32::from_be_bytes([bc[base + 8], bc[base + 9], bc[base + 10], bc[base + 11]]);
-            let offset = if v < low || v > high {
-                default
-            } else {
-                let slot = base + 12 + 4 * (v - low) as usize;
-                i32::from_be_bytes([bc[slot], bc[slot + 1], bc[slot + 2], bc[slot + 3]])
-            };
-            next_pc = (pc as i64 + offset as i64) as usize;
-        }
-        op::LOOKUPSWITCH => {
-            state.engine.charge(Cost::Branch);
-            let v = frame.pop_int();
-            let base = (pc + 4) & !3;
-            let default = i32::from_be_bytes([bc[base], bc[base + 1], bc[base + 2], bc[base + 3]]);
-            let npairs =
-                i32::from_be_bytes([bc[base + 4], bc[base + 5], bc[base + 6], bc[base + 7]]);
-            let mut offset = default;
-            for p in 0..npairs as usize {
-                let slot = base + 8 + 8 * p;
-                let key = i32::from_be_bytes([bc[slot], bc[slot + 1], bc[slot + 2], bc[slot + 3]]);
-                if key == v {
-                    offset = i32::from_be_bytes([
-                        bc[slot + 4],
-                        bc[slot + 5],
-                        bc[slot + 6],
-                        bc[slot + 7],
-                    ]);
-                    break;
-                }
-            }
-            next_pc = (pc as i64 + offset as i64) as usize;
-        }
-
-        // ---- returns ----
-        op::IRETURN | op::LRETURN | op::FRETURN | op::DRETURN | op::ARETURN | op::RETURN => {
-            let value = if opcode == op::RETURN {
-                None
-            } else {
-                Some(frame.pop())
-            };
-            return do_return(state, frames, ctx, tid, value);
-        }
-
-        // ---- fields ----
-        op::GETSTATIC | op::PUTSTATIC => {
-            let idx = u16_at!(1);
-            let fref = match cp_field(state, code.class, idx) {
-                Some(f) => {
-                    // Quickened: resolution AND the `<clinit>` protocol
-                    // are already done (entries are only installed once
-                    // the referenced class is `Initialized`).
-                    state.perf.cp_hit.inc();
-                    f
-                }
-                None => {
-                    note_cp_miss(state, ctx, "static_field");
-                    let cf = state
-                        .registry
-                        .get(code.class)
-                        .cf
-                        .as_ref()
-                        .expect("class file");
-                    let (cname, fname) = match cf.constant_pool.member_ref(idx) {
-                        Ok(t) => (t.0.to_string(), t.1.to_string()),
-                        Err(e) => {
-                            let msg = e.to_string();
-                            return throw_vm(
-                                state,
-                                frames,
-                                ctx,
-                                tid,
-                                "java/lang/InternalError",
-                                &msg,
-                            );
-                        }
-                    };
-                    let class_id = match ensure_class(state, &cname) {
-                        Ok(id) => id,
-                        Err(r) => return r,
-                    };
-                    match ensure_initialized(state, frames, tid, class_id) {
-                        InitAction::Ready => {}
-                        InitAction::Pushed => return StepResult::CallBoundary,
-                    }
-                    let Some(fr) = state.registry.resolve_field(class_id, &fname) else {
-                        return throw_vm(
-                            state,
-                            frames,
-                            ctx,
-                            tid,
-                            "java/lang/NoSuchFieldError",
-                            &format!("{cname}.{fname}"),
-                        );
-                    };
-                    let resolved = Rc::new(ResolvedField {
-                        class: fr.class,
-                        key: Rc::from(fr.key.as_str()),
-                        default: Value::default_for(&fr.descriptor),
-                        descriptor: Rc::from(fr.descriptor.as_str()),
-                        is_static: fr.is_static,
-                    });
-                    // Quicken only once the `<clinit>` chain completed,
-                    // so the hit path may skip the init protocol.
-                    if matches!(
-                        state.registry.get(class_id).clinit,
-                        ClinitState::Initialized
-                    ) {
-                        quicken(state, code.class, idx, CpEntry::Field(resolved.clone()));
-                    }
-                    resolved
-                }
-            };
-            state.engine.charge(Cost::MapOp);
-            let frame = frames.last_mut().expect("frame");
-            if opcode == op::GETSTATIC {
-                state.engine.charge(Cost::FieldGet);
-                let v = state
-                    .registry
-                    .get(fref.class)
-                    .statics
-                    .get(&*fref.key)
-                    .copied()
-                    .unwrap_or(fref.default);
-                frame.push(v);
-            } else {
-                state.engine.charge(Cost::FieldPut);
-                let v = frame.pop();
-                let statics = &mut state.registry.get_mut(fref.class).statics;
-                if let Some(slot) = statics.get_mut(&*fref.key) {
-                    *slot = v;
-                } else {
-                    statics.insert(fref.key.to_string(), v);
-                }
-            }
-        }
-        op::GETFIELD | op::PUTFIELD => {
-            let idx = u16_at!(1);
-            let fref = match cp_field(state, code.class, idx) {
-                Some(f) => {
-                    state.perf.cp_hit.inc();
-                    f
-                }
-                None => {
-                    note_cp_miss(state, ctx, "field");
-                    let cf = state
-                        .registry
-                        .get(code.class)
-                        .cf
-                        .as_ref()
-                        .expect("class file");
-                    let (cname, fname) = match cf.constant_pool.member_ref(idx) {
-                        Ok(t) => (t.0.to_string(), t.1.to_string()),
-                        Err(e) => {
-                            let msg = e.to_string();
-                            return throw_vm(
-                                state,
-                                frames,
-                                ctx,
-                                tid,
-                                "java/lang/InternalError",
-                                &msg,
-                            );
-                        }
-                    };
-                    let class_id = match ensure_class(state, &cname) {
-                        Ok(id) => id,
-                        Err(r) => return r,
-                    };
-                    let Some(fr) = state.registry.resolve_field(class_id, &fname) else {
-                        return throw_vm(
-                            state,
-                            frames,
-                            ctx,
-                            tid,
-                            "java/lang/NoSuchFieldError",
-                            &format!("{cname}.{fname}"),
-                        );
-                    };
-                    let resolved = Rc::new(ResolvedField {
-                        class: fr.class,
-                        key: Rc::from(fr.key.as_str()),
-                        default: Value::default_for(&fr.descriptor),
-                        descriptor: Rc::from(fr.descriptor.as_str()),
-                        is_static: fr.is_static,
-                    });
-                    // Instance-field resolution is stable (classes are
-                    // never redefined): quicken unconditionally.
-                    quicken(state, code.class, idx, CpEntry::Field(resolved.clone()));
-                    resolved
-                }
-            };
-            // The dictionary lookup of §6.7.
-            state.engine.charge(Cost::MapOp);
-            let frame = frames.last_mut().expect("frame");
-            if opcode == op::GETFIELD {
-                state.engine.charge(Cost::FieldGet);
-                let Some(obj) = frame.pop_ref() else {
-                    return throw_vm(
-                        state,
-                        frames,
-                        ctx,
-                        tid,
-                        "java/lang/NullPointerException",
-                        &format!("getfield {}", fref.key),
-                    );
-                };
-                let v = match state.heap.get(obj) {
-                    HeapObj::Instance { fields, .. } => {
-                        fields.get(&*fref.key).copied().unwrap_or(fref.default)
-                    }
-                    _ => fref.default,
-                };
-                frames.last_mut().expect("frame").push(v);
-            } else {
-                state.engine.charge(Cost::FieldPut);
-                let v = frame.pop();
-                let Some(obj) = frame.pop_ref() else {
-                    return throw_vm(
-                        state,
-                        frames,
-                        ctx,
-                        tid,
-                        "java/lang/NullPointerException",
-                        &format!("putfield {}", fref.key),
-                    );
-                };
-                if let HeapObj::Instance { fields, .. } = state.heap.get_mut(obj) {
-                    if let Some(slot) = fields.get_mut(&*fref.key) {
-                        *slot = v;
-                    } else {
-                        fields.insert(fref.key.to_string(), v);
-                    }
-                }
-            }
-        }
-
-        // ---- invocations ----
-        op::INVOKEVIRTUAL | op::INVOKESPECIAL | op::INVOKESTATIC | op::INVOKEINTERFACE => {
-            return invoke(state, frames, ctx, tid, opcode, pc, next_pc);
-        }
-
-        // ---- object/array creation ----
-        op::NEW => {
-            let idx = u16_at!(1);
-            let cached = match state.registry.get(code.class).cp_cache.borrow().get(&idx) {
-                Some(CpEntry::Class(cc)) => Some(cc.clone()),
-                _ => None,
-            };
-            let cc = match cached {
-                Some(cc) => {
-                    if let Some(id) = cc.init_id.get() {
-                        // Fully quickened: class resolved and its
-                        // `<clinit>` chain already ran.
-                        state.perf.cp_hit.inc();
-                        let r = alloc_instance(state, id);
-                        frames.last_mut().expect("frame").push(Value::Ref(Some(r)));
-                        frames.last_mut().expect("frame").pc = next_pc;
-                        return StepResult::Continue;
-                    }
-                    note_cp_miss(state, ctx, "new");
-                    cc
-                }
-                None => match cp_class(state, ctx, code.class, idx) {
-                    Ok(cc) => cc,
-                    Err(msg) => {
-                        return throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg)
-                    }
-                },
-            };
-            let class_id = match ensure_class(state, &cc.name) {
-                Ok(id) => id,
-                Err(r) => return r,
-            };
-            match ensure_initialized(state, frames, tid, class_id) {
-                InitAction::Ready => {}
-                InitAction::Pushed => return StepResult::CallBoundary,
-            }
-            if matches!(
-                state.registry.get(class_id).clinit,
-                ClinitState::Initialized
-            ) {
-                cc.init_id.set(Some(class_id));
-            }
-            let r = alloc_instance(state, class_id);
-            frames.last_mut().expect("frame").push(Value::Ref(Some(r)));
-        }
-        op::NEWARRAY => {
-            state.engine.charge(Cost::Alloc);
-            let atype = u8_at!(1);
-            let len = frame.pop_int();
-            if len < 0 {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/NegativeArraySizeException",
-                    &len.to_string(),
-                );
-            }
-            // DoppioJVM backs binary arrays (boolean[], char[], byte[])
-            // with typed arrays; register the allocation so Safari's
-            // leak model (§7.1) sees JVM-level buffer churn too. The
-            // matching free models the JS garbage collector.
-            if matches!(atype, 4 | 5 | 8) && state.engine.profile().has_typed_arrays {
-                let bytes = len as usize * if atype == 5 { 2 } else { 1 };
-                state.engine.typed_array_alloc(bytes);
-                state.engine.typed_array_free(bytes);
-            }
-            let Some(r) = state.heap.alloc_primitive_array(atype, len as usize) else {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/InternalError",
-                    "bad atype",
-                );
-            };
-            frames.last_mut().expect("frame").push(Value::Ref(Some(r)));
-        }
-        op::ANEWARRAY => {
-            state.engine.charge(Cost::Alloc);
-            let idx = u16_at!(1);
-            let cname = match cp_class(state, ctx, code.class, idx) {
-                Ok(cc) => cc.name.to_string(),
-                Err(msg) => {
-                    return throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg)
-                }
-            };
-            let len = frame.pop_int();
-            if len < 0 {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/NegativeArraySizeException",
-                    &len.to_string(),
-                );
-            }
-            let r = state.heap.alloc(HeapObj::ArrayRef {
-                component: cname,
-                data: vec![None; len as usize],
-            });
-            frames.last_mut().expect("frame").push(Value::Ref(Some(r)));
-        }
-        op::MULTIANEWARRAY => {
-            state.engine.charge(Cost::Alloc);
-            let idx = u16_at!(1);
-            let dims = u8_at!(3) as usize;
-            let desc = match cp_class(state, ctx, code.class, idx) {
-                Ok(cc) => cc.name.clone(),
-                Err(msg) => {
-                    return throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg)
-                }
-            };
-            let mut sizes = vec![0i32; dims];
-            for d in (0..dims).rev() {
-                sizes[d] = frame.pop_int();
-            }
-            if sizes.iter().any(|&s| s < 0) {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/NegativeArraySizeException",
-                    "multianewarray",
-                );
-            }
-            let r = alloc_multi(state, &desc, &sizes);
-            frames.last_mut().expect("frame").push(Value::Ref(Some(r)));
-        }
-        op::ARRAYLENGTH => {
-            state.engine.charge(Cost::IntOp);
-            let Some(arr) = frame.pop_ref() else {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/NullPointerException",
-                    "arraylength",
-                );
-            };
-            let Some(len) = state.heap.get(arr).array_len() else {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/InternalError",
-                    "not an array",
-                );
-            };
-            frames
-                .last_mut()
-                .expect("frame")
-                .push(Value::Int(len as i32));
-        }
-
-        op::ATHROW => {
-            let Some(ex) = frame.pop_ref() else {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/NullPointerException",
-                    "athrow null",
-                );
-            };
-            return dispatch_exception(state, frames, ctx, tid, ex);
-        }
-
-        op::CHECKCAST | op::INSTANCEOF => {
-            let idx = u16_at!(1);
-            let target = match cp_class(state, ctx, code.class, idx) {
-                Ok(cc) => cc.name.clone(),
-                Err(msg) => {
-                    return throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg)
-                }
-            };
-            state.engine.charge(Cost::MapOp);
-            let obj = *frame.peek(0);
-            let r = obj.as_ref();
-            let matches = match r {
-                None => opcode == op::CHECKCAST, // null passes checkcast, fails instanceof
-                Some(obj) => {
-                    let cid = runtime_class_of(state, obj);
-                    match cid {
-                        Ok(cid) => state.registry.is_assignable(cid, &target),
-                        Err(r) => return r,
-                    }
-                }
-            };
-            if opcode == op::INSTANCEOF {
-                frame.pop_ref();
-                frame.push(Value::Int(i32::from(matches && r.is_some())));
-            } else if !matches {
-                let name = r
-                    .and_then(|o| runtime_class_of(state, o).ok())
-                    .map(|c| state.registry.get(c).name.clone())
-                    .unwrap_or_default();
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/ClassCastException",
-                    &format!("{name} cannot be cast to {target}"),
-                );
-            }
-        }
-
-        op::MONITORENTER => {
-            let Some(&Value::Ref(obj)) = frame.stack.last() else {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/InternalError",
-                    "monitorenter",
-                );
-            };
-            let Some(obj) = obj else {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/NullPointerException",
-                    "monitorenter",
-                );
-            };
-            if try_enter_monitor(state, ctx, obj, tid) {
-                frames.last_mut().expect("frame").pop_ref();
-            } else {
-                queue_on_monitor(state, obj, tid);
-                return StepResult::MonitorBlocked(obj); // retry when woken
-            }
-        }
-        op::MONITOREXIT => {
-            let Some(obj) = frame.pop_ref() else {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/NullPointerException",
-                    "monitorexit",
-                );
-            };
-            if let Err(msg) = exit_monitor(state, ctx, obj, tid) {
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
-                    "java/lang/IllegalMonitorStateException",
-                    &msg,
-                );
-            }
-        }
-
-        op::WIDE => {
-            let sub = u8_at!(1);
-            let idx = u16_at!(2) as usize;
-            match sub {
-                op::ILOAD | op::FLOAD | op::ALOAD => {
-                    let v = frame.local(idx);
-                    frame.push(v);
-                }
-                op::LLOAD | op::DLOAD => {
-                    let v = frame.local(idx);
-                    frame.push(v);
-                }
-                op::ISTORE | op::FSTORE | op::ASTORE | op::LSTORE | op::DSTORE => {
-                    let v = frame.pop();
-                    frame.set_local(idx, v);
-                }
-                op::IINC => {
-                    let delta = i16_at!(4) as i32;
-                    let v = frame.local(idx).as_int();
-                    frame.set_local(idx, Value::Int(v.wrapping_add(delta)));
-                }
-                op::RET => match frame.local(idx) {
-                    Value::RetAddr(a) => next_pc = a,
-                    _ => {
-                        return throw_vm(
-                            state,
-                            frames,
-                            ctx,
-                            tid,
-                            "java/lang/InternalError",
-                            "wide ret",
-                        )
-                    }
-                },
-                _ => {
-                    return throw_vm(
-                        state,
-                        frames,
-                        ctx,
-                        tid,
-                        "java/lang/InternalError",
-                        "bad wide",
-                    )
-                }
-            }
-        }
-
-        _ => {
-            return throw_vm(
-                state,
-                frames,
-                ctx,
-                tid,
-                "java/lang/InternalError",
-                &format!("undefined opcode {opcode:#04x}"),
-            )
-        }
-    }
-
-    if let Some(frame) = frames.last_mut() {
-        frame.pc = next_pc;
-    }
-    // Host-only backedge profiling: feeds the tier-up oracle but never
-    // charges the virtual clock, so it cannot perturb a transcript.
-    if state.tier_up && next_pc < pc {
-        code.hotness.set(
-            code.hotness
-                .get()
-                .saturating_add(crate::tiered::BACKEDGE_BOOST),
-        );
-    }
-    // §6.1: suspend checks happen at call boundaries, which "is not a
-    // perfect solution, as it is possible in theory to execute an
-    // extremely long-running loop that makes no method calls. ... it
-    // would be possible to instrument loop back edges to perform the
-    // same checks." That instrumentation, behind a flag:
-    if state.check_backedges && next_pc < pc {
-        state.engine.charge(Cost::IntOp); // the instrumented check
-        return StepResult::CallBoundary;
-    }
-    StepResult::Continue
-}
-
-/// Operand length of fixed-width instructions; variable-width ones
-/// (`tableswitch`, `lookupswitch`, `wide`) are computed here too since
-/// the interpreter sets `next_pc` before executing.
-fn fixed_operand_len(opcode: u8, bc: &[u8], pc: usize) -> usize {
-    use doppio_classfile::opcodes::{INFO, VARIABLE};
-    let info = INFO[opcode as usize];
-    if info.operands != VARIABLE {
-        return info.operands as usize;
-    }
-    match opcode {
-        op::WIDE => {
-            if bc[pc + 1] == op::IINC {
-                5
-            } else {
-                3
-            }
-        }
-        op::TABLESWITCH => {
-            let base = (pc + 4) & !3;
-            let low = i32::from_be_bytes([bc[base + 4], bc[base + 5], bc[base + 6], bc[base + 7]]);
-            let high =
-                i32::from_be_bytes([bc[base + 8], bc[base + 9], bc[base + 10], bc[base + 11]]);
-            base + 12 + 4 * (high - low + 1) as usize - pc - 1
-        }
-        op::LOOKUPSWITCH => {
-            let base = (pc + 4) & !3;
-            let npairs =
-                i32::from_be_bytes([bc[base + 4], bc[base + 5], bc[base + 6], bc[base + 7]]);
-            base + 8 + 8 * npairs as usize - pc - 1
-        }
-        _ => 0,
-    }
-}
-
-/// JVM `f2i`/`d2i` conversion: NaN → 0, saturating.
-pub(crate) fn f2i(v: f64) -> i32 {
-    if v.is_nan() {
-        0
-    } else if v >= i32::MAX as f64 {
-        i32::MAX
-    } else if v <= i32::MIN as f64 {
-        i32::MIN
-    } else {
-        v as i32
-    }
-}
-
-/// JVM `f2l`/`d2l` conversion.
-pub(crate) fn f2l(v: f64) -> i64 {
-    if v.is_nan() {
-        0
-    } else if v >= i64::MAX as f64 {
-        i64::MAX
-    } else if v <= i64::MIN as f64 {
-        i64::MIN
-    } else {
-        v as i64
-    }
-}
-
-/// `fcmpl`/`fcmpg`/`dcmpl`/`dcmpg`: NaN pushes -1 or +1 per variant.
-pub(crate) fn fp_cmp(a: f64, b: f64, greater_on_nan: bool) -> i32 {
-    if a.is_nan() || b.is_nan() {
-        if greater_on_nan {
-            1
-        } else {
-            -1
-        }
-    } else if a < b {
-        -1
-    } else if a > b {
-        1
-    } else {
-        0
     }
 }
 
@@ -1591,6 +130,11 @@ pub fn ensure_class(state: &mut JvmState, name: &str) -> Result<ClassId, StepRes
 
 // ----------------------------------------------------------------
 // Resolution caches (the interpreter fast path)
+//
+// The slow paths of the quickening ops in `crate::exec`. Each one
+// fills its op's cell exactly when the class's constant-pool cache (or,
+// for call sites, the op itself) holds the resolution, so the op's
+// fast path counts the same cache hit a cache probe would have.
 // ----------------------------------------------------------------
 
 /// Install a quickened entry for CP index `idx` of `class`.
@@ -1640,6 +184,309 @@ fn cp_class(
         .borrow_mut()
         .insert(idx, CpEntry::Class(cc.clone()));
     Ok(cc)
+}
+
+/// The class constant at `idx` of `class`, memoized in the op's `cell`
+/// (a hit, as [`cp_class`] would count once the entry exists).
+pub(crate) fn class_const<'c>(
+    state: &JvmState,
+    ctx: &ThreadContext<'_>,
+    class: ClassId,
+    idx: u16,
+    cell: &'c OnceCell<Rc<ClassConst>>,
+) -> Result<&'c ClassConst, String> {
+    if let Some(cc) = cell.get() {
+        state.perf.cp_hit.inc();
+        return Ok(cc);
+    }
+    let cc = cp_class(state, ctx, class, idx)?;
+    Ok(cell.get_or_init(|| cc))
+}
+
+/// The executing frame's class, whose constant pool an op refers to.
+fn code_class(frames: &[Frame]) -> ClassId {
+    frames.last().expect("executing frame").code.class
+}
+
+/// The hit path of a quickened `ldc`: an interned object or class
+/// mirror costs one map-sized operation, a long its 64-bit op.
+pub(crate) fn ldc_hit(state: &JvmState, v: Value) {
+    state.perf.cp_hit.inc();
+    match v {
+        Value::Long(_) => state.engine.charge(Cost::LongOp),
+        Value::Ref(_) => state.engine.charge(Cost::MapOp),
+        _ => {}
+    }
+}
+
+/// `ldc` of constant `idx` whose op has not memoized it: a cache hit
+/// fills `cell`; a miss decodes the constant and quickens it.
+pub(crate) fn ldc(
+    state: &mut JvmState,
+    frames: &mut Vec<Frame>,
+    ctx: &mut ThreadContext<'_>,
+    tid: ThreadId,
+    idx: u16,
+    cell: &OnceCell<Value>,
+) -> Result<Value, StepResult> {
+    let class = code_class(frames);
+    let cached = state
+        .registry
+        .get(class)
+        .cp_cache
+        .borrow()
+        .get(&idx)
+        .cloned();
+    let hit = match &cached {
+        Some(CpEntry::Value(v)) => Some(*v),
+        Some(CpEntry::Obj(r)) => Some(Value::Ref(Some(*r))),
+        Some(CpEntry::Class(cc)) => cc.mirror.get().map(|r| Value::Ref(Some(r))),
+        _ => None,
+    };
+    if let Some(v) = hit {
+        ldc_hit(state, v);
+        let _ = cell.set(v);
+        return Ok(v);
+    }
+    note_cp_miss(state, ctx, "ldc");
+    let cf = state.registry.get(class).cf.as_ref().expect("code class");
+    let constant = match cf.constant_pool.get(idx) {
+        Ok(c) => c.clone(),
+        Err(e) => {
+            let msg = format!("bad ldc: {e}");
+            return Err(throw_vm(
+                state,
+                frames,
+                ctx,
+                tid,
+                "java/lang/InternalError",
+                &msg,
+            ));
+        }
+    };
+    let (v, entry) = match constant {
+        Constant::Integer(v) => (Value::Int(v), CpEntry::Value(Value::Int(v))),
+        Constant::Float(v) => (Value::Float(v), CpEntry::Value(Value::Float(v))),
+        Constant::Long(v) => {
+            state.engine.charge(Cost::LongOp);
+            (Value::Long(v), CpEntry::Value(Value::Long(v)))
+        }
+        Constant::Double(v) => (Value::Double(v), CpEntry::Value(Value::Double(v))),
+        Constant::String { .. } => {
+            let s = cf.constant_pool.string(idx).unwrap_or_default().to_string();
+            state.engine.charge_n(Cost::StringOp, s.len() as u64);
+            let r = state.intern_string(&s);
+            (Value::Ref(Some(r)), CpEntry::Obj(r))
+        }
+        Constant::Class { .. } => {
+            let name = cf
+                .constant_pool
+                .class_name(idx)
+                .unwrap_or_default()
+                .to_string();
+            // Keep an entry installed by `new` etc. so its resolved id
+            // survives the mirror fill.
+            let cc = match cached {
+                Some(CpEntry::Class(cc)) => cc,
+                _ => Rc::new(ClassConst {
+                    name: Rc::from(name.as_str()),
+                    init_id: Cell::new(None),
+                    mirror: Cell::new(None),
+                }),
+            };
+            let r = class_object(state, &name);
+            cc.mirror.set(Some(r));
+            (Value::Ref(Some(r)), CpEntry::Class(cc))
+        }
+        other => {
+            let msg = format!("ldc of unsupported constant {other:?}");
+            return Err(throw_vm(
+                state,
+                frames,
+                ctx,
+                tid,
+                "java/lang/InternalError",
+                &msg,
+            ));
+        }
+    };
+    quicken(state, class, idx, entry);
+    Ok(v)
+}
+
+/// Resolve field reference `idx` for a get/put whose op has not
+/// memoized it, running a static field's `<clinit>` protocol. Fills
+/// `cell` once the resolution is quickened.
+pub(crate) fn resolve_field(
+    state: &mut JvmState,
+    frames: &mut Vec<Frame>,
+    ctx: &mut ThreadContext<'_>,
+    tid: ThreadId,
+    idx: u16,
+    is_static: bool,
+    cell: &OnceCell<Rc<ResolvedField>>,
+) -> Result<Rc<ResolvedField>, StepResult> {
+    let class = code_class(frames);
+    if let Some(f) = cp_field(state, class, idx) {
+        state.perf.cp_hit.inc();
+        let _ = cell.set(f.clone());
+        return Ok(f);
+    }
+    note_cp_miss(state, ctx, if is_static { "static_field" } else { "field" });
+    let cf = state.registry.get(class).cf.as_ref().expect("class file");
+    let (cname, fname) = match cf.constant_pool.member_ref(idx) {
+        Ok(t) => (t.0.to_string(), t.1.to_string()),
+        Err(e) => {
+            let msg = e.to_string();
+            return Err(throw_vm(
+                state,
+                frames,
+                ctx,
+                tid,
+                "java/lang/InternalError",
+                &msg,
+            ));
+        }
+    };
+    let class_id = ensure_class(state, &cname)?;
+    if is_static {
+        if let InitAction::Pushed = ensure_initialized(state, frames, tid, class_id) {
+            return Err(StepResult::CallBoundary);
+        }
+    }
+    let Some(fr) = state.registry.resolve_field(class_id, &fname) else {
+        let msg = format!("{cname}.{fname}");
+        return Err(throw_vm(
+            state,
+            frames,
+            ctx,
+            tid,
+            "java/lang/NoSuchFieldError",
+            &msg,
+        ));
+    };
+    let resolved = Rc::new(ResolvedField {
+        class: fr.class,
+        key: Rc::from(fr.key.as_str()),
+        default: Value::default_for(&fr.descriptor),
+        descriptor: Rc::from(fr.descriptor.as_str()),
+        is_static: fr.is_static,
+    });
+    // Instance-field resolution is stable (classes are never redefined).
+    // A static one quickens only once the `<clinit>` chain completed, so
+    // the hit path may skip the init protocol.
+    if !is_static
+        || matches!(
+            state.registry.get(class_id).clinit,
+            ClinitState::Initialized
+        )
+    {
+        quicken(state, class, idx, CpEntry::Field(resolved.clone()));
+        let _ = cell.set(resolved.clone());
+    }
+    Ok(resolved)
+}
+
+/// The class `new` instantiates, for an op that has not memoized it:
+/// resolves the class constant and runs the `<clinit>` protocol.
+pub(crate) fn new_class(
+    state: &mut JvmState,
+    frames: &mut Vec<Frame>,
+    ctx: &mut ThreadContext<'_>,
+    tid: ThreadId,
+    idx: u16,
+    cell: &OnceCell<ClassId>,
+) -> Result<ClassId, StepResult> {
+    let class = code_class(frames);
+    let cached = match state.registry.get(class).cp_cache.borrow().get(&idx) {
+        Some(CpEntry::Class(cc)) => Some(cc.clone()),
+        _ => None,
+    };
+    let cc = match cached {
+        Some(cc) => {
+            if let Some(id) = cc.init_id.get() {
+                // Fully quickened: class resolved and its `<clinit>`
+                // chain already ran.
+                state.perf.cp_hit.inc();
+                let _ = cell.set(id);
+                return Ok(id);
+            }
+            note_cp_miss(state, ctx, "new");
+            cc
+        }
+        None => match cp_class(state, ctx, class, idx) {
+            Ok(cc) => cc,
+            Err(msg) => {
+                return Err(throw_vm(
+                    state,
+                    frames,
+                    ctx,
+                    tid,
+                    "java/lang/InternalError",
+                    &msg,
+                ))
+            }
+        },
+    };
+    let class_id = ensure_class(state, &cc.name)?;
+    if let InitAction::Pushed = ensure_initialized(state, frames, tid, class_id) {
+        return Err(StepResult::CallBoundary);
+    }
+    if matches!(
+        state.registry.get(class_id).clinit,
+        ClinitState::Initialized
+    ) {
+        cc.init_id.set(Some(class_id));
+    }
+    Ok(class_id)
+}
+
+/// Decode invoke site `idx` — its symbolic reference and descriptor —
+/// into the op's `cell` (a constant-pool cache miss).
+pub(crate) fn call_site<'c>(
+    state: &mut JvmState,
+    frames: &mut Vec<Frame>,
+    ctx: &mut ThreadContext<'_>,
+    tid: ThreadId,
+    idx: u16,
+    cell: &'c OnceCell<Rc<CallSite>>,
+) -> Result<&'c Rc<CallSite>, StepResult> {
+    note_cp_miss(state, ctx, "invoke");
+    let cf = state
+        .registry
+        .get(code_class(frames))
+        .cf
+        .as_ref()
+        .expect("class file");
+    let decoded = cf
+        .constant_pool
+        .member_ref(idx)
+        .and_then(|(cname, mname, mdesc)| {
+            let desc = doppio_classfile::descriptor::parse_method_descriptor(mdesc)?;
+            Ok(CallSite {
+                cname: Rc::from(cname),
+                name: Rc::from(mname),
+                desc: Rc::from(mdesc),
+                arg_slots: desc.param_slots() as usize,
+                ref_class: Cell::new(None),
+                direct: Cell::new(None),
+                mono: Cell::new(None),
+            })
+        });
+    match decoded {
+        Ok(site) => Ok(cell.get_or_init(|| Rc::new(site))),
+        Err(e) => {
+            let msg = e.to_string();
+            Err(throw_vm(
+                state,
+                frames,
+                ctx,
+                tid,
+                "java/lang/InternalError",
+                &msg,
+            ))
+        }
+    }
 }
 
 /// The access flags of a resolved method.
@@ -1746,11 +593,13 @@ pub fn alloc_instance(state: &mut JvmState, class: ClassId) -> ObjRef {
     state.heap.alloc(HeapObj::Instance { class, fields })
 }
 
-fn alloc_multi(state: &mut JvmState, desc: &str, sizes: &[i32]) -> ObjRef {
+pub(crate) fn alloc_multi(state: &mut JvmState, desc: &str, sizes: &[i32]) -> ObjRef {
     let len = sizes[0] as usize;
+    // The element descriptor (empty for a malformed non-array `desc`).
+    let inner_desc = desc.get(1..).unwrap_or_default();
     if sizes.len() == 1 {
         // Innermost dimension: choose representation by component.
-        let component = &desc[1..];
+        let component = inner_desc;
         return match component.as_bytes().first() {
             Some(b'I') => state.heap.alloc(HeapObj::ArrayInt(vec![0; len])),
             Some(b'J') => state.heap.alloc(HeapObj::ArrayLong(vec![0; len])),
@@ -1771,7 +620,6 @@ fn alloc_multi(state: &mut JvmState, desc: &str, sizes: &[i32]) -> ObjRef {
             }
         };
     }
-    let inner_desc = &desc[1..];
     let mut data = Vec::with_capacity(len);
     for _ in 0..len {
         data.push(Some(alloc_multi(state, inner_desc, &sizes[1..])));
@@ -1976,16 +824,26 @@ pub fn dispatch_exception(
             frame.pc = handler_pc as usize;
             return StepResult::Continue;
         }
-        // Unwind: release a synchronized method's monitor.
-        let popped = frames.pop().expect("frame");
-        if popped.code.name == "<clinit>" {
-            state.registry.get_mut(popped.code.class).clinit = ClinitState::Initialized;
-        }
-        if let Some(mon) = popped.held_monitor {
-            let _ = exit_monitor(state, ctx, mon, tid);
-        }
+        pop_frame(state, frames, ctx, tid);
     }
     StepResult::Uncaught(ex)
+}
+
+/// Pop the top frame: a `<clinit>` counts as finished, and a
+/// synchronized method releases its monitor.
+fn pop_frame(
+    state: &mut JvmState,
+    frames: &mut Vec<Frame>,
+    ctx: &mut ThreadContext<'_>,
+    tid: ThreadId,
+) {
+    let popped = frames.pop().expect("frame");
+    if popped.code.name == "<clinit>" {
+        state.registry.get_mut(popped.code.class).clinit = ClinitState::Initialized;
+    }
+    if let Some(mon) = popped.held_monitor {
+        let _ = exit_monitor(state, ctx, mon, tid);
+    }
 }
 
 // ----------------------------------------------------------------
@@ -2000,13 +858,7 @@ pub fn do_return(
     tid: ThreadId,
     value: Option<Value>,
 ) -> StepResult {
-    let popped = frames.pop().expect("returning frame");
-    if popped.code.name == "<clinit>" {
-        state.registry.get_mut(popped.code.class).clinit = ClinitState::Initialized;
-    }
-    if let Some(mon) = popped.held_monitor {
-        let _ = exit_monitor(state, ctx, mon, tid);
-    }
+    pop_frame(state, frames, ctx, tid);
     match frames.last_mut() {
         None => StepResult::Finished,
         Some(caller) => {
@@ -2018,73 +870,9 @@ pub fn do_return(
     }
 }
 
-/// Execute one of the four invoke instructions at `pc`.
-fn invoke(
-    state: &mut JvmState,
-    frames: &mut Vec<Frame>,
-    ctx: &mut ThreadContext<'_>,
-    tid: ThreadId,
-    opcode: u8,
-    pc: usize,
-    next_pc: usize,
-) -> StepResult {
-    state.engine.charge(Cost::Call);
-    let code = frames.last().expect("frame").code.clone();
-
-    // Quickened call site: the CP member ref and its descriptor are
-    // decoded once per (method, bytecode offset).
-    let cached = code.ics.borrow().get(&pc).cloned();
-    let site = match cached {
-        Some(s) => {
-            state.perf.cp_hit.inc();
-            s
-        }
-        None => {
-            note_cp_miss(state, ctx, "invoke");
-            let cf = state
-                .registry
-                .get(code.class)
-                .cf
-                .as_ref()
-                .expect("class file");
-            let idx = u16::from_be_bytes([code.bytecode[pc + 1], code.bytecode[pc + 2]]);
-            let (cname, mname, mdesc) = match cf.constant_pool.member_ref(idx) {
-                Ok(t) => t,
-                Err(e) => {
-                    let msg = e.to_string();
-                    return throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg);
-                }
-            };
-            let desc = match doppio_classfile::descriptor::parse_method_descriptor(mdesc) {
-                Ok(d) => d,
-                Err(e) => {
-                    let msg = e.to_string();
-                    return throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg);
-                }
-            };
-            let site = Rc::new(CallSite {
-                cname: Rc::from(cname),
-                name: Rc::from(mname),
-                desc: Rc::from(mdesc),
-                arg_slots: desc.param_slots() as usize,
-                ref_class: Cell::new(None),
-                direct: Cell::new(None),
-                mono: Cell::new(None),
-            });
-            code.ics.borrow_mut().insert(pc, site.clone());
-            site
-        }
-    };
-    invoke_with_site(state, frames, ctx, tid, opcode, next_pc, &site, false)
-}
-
-/// The body of an invoke once its call site is resolved: dispatch,
-/// synchronization, argument transfer and the frame push. The tiered
-/// interpreter enters here directly with its baked [`CallSite`]
-/// (`from_tier` set), so quickening transitions and inline-cache
-/// repair happen at identical program points in both tiers; an
-/// inline-cache miss from the tier is counted as a deoptimization.
-#[allow(clippy::too_many_arguments)]
+/// The body of an invoke once its call site is decoded: dispatch,
+/// synchronization, argument transfer and the frame push. Returns to
+/// `next_pc` in the caller.
 pub(crate) fn invoke_with_site(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
@@ -2093,7 +881,6 @@ pub(crate) fn invoke_with_site(
     opcode: u8,
     next_pc: usize,
     site: &Rc<CallSite>,
-    from_tier: bool,
 ) -> StepResult {
     let arg_slots = site.arg_slots;
     let has_receiver = opcode != op::INVOKESTATIC;
@@ -2135,9 +922,6 @@ pub(crate) fn invoke_with_site(
             }
             _ => {
                 note_ic_miss(state, ctx, &site.name);
-                if from_tier {
-                    crate::tiered::note_deopt(state, ctx, "ic_miss");
-                }
                 if site.ref_class.get().is_none() {
                     match ensure_class(state, &site.cname) {
                         Ok(id) => site.ref_class.set(Some(id)),
@@ -2183,9 +967,6 @@ pub(crate) fn invoke_with_site(
             }
             None => {
                 note_ic_miss(state, ctx, &site.name);
-                if from_tier {
-                    crate::tiered::note_deopt(state, ctx, "ic_miss");
-                }
                 let ref_class = match site.ref_class.get() {
                     Some(id) => id,
                     None => match ensure_class(state, &site.cname) {
@@ -2307,15 +1088,6 @@ pub(crate) fn invoke_with_site(
             &format!("{}.{}{}", site.cname, site.name, site.desc),
         );
     };
-    // Host-only invocation counter: the §6.1 call-boundary hook that
-    // feeds the tier-up oracle. Never charges the virtual clock.
-    if state.tier_up {
-        blob.hotness.set(
-            blob.hotness
-                .get()
-                .saturating_add(crate::tiered::INVOKE_BOOST),
-        );
-    }
     let mut new_frame = Frame::new(blob);
     new_frame.held_monitor = acquired_monitor;
     // Copy argument slots verbatim (they are already slot-expanded).

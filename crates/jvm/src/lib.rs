@@ -41,6 +41,7 @@
 //! ```
 
 pub mod class;
+mod exec;
 pub mod frame;
 pub mod fsutil;
 pub mod interp;
@@ -52,7 +53,6 @@ pub mod process;
 pub mod rtlib;
 pub mod state;
 pub mod thread;
-pub mod tiered;
 pub mod value;
 
 pub use jvm::{Jvm, JvmRunResult, JvmStdin, UserNative};

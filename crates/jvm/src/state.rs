@@ -1,7 +1,7 @@
 //! Shared JVM state: heap, classes, monitors, I/O, and the Doppio
 //! services the native methods bridge to (§6.3).
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::{Rc, Weak};
 
@@ -13,6 +13,7 @@ use doppio_sockets::{DoppioSocket, Network};
 use doppio_trace::Counter;
 
 use crate::class::{ClassId, ClassRegistry, MethodRef};
+use crate::exec::OpStream;
 use crate::loader::LoaderState;
 use crate::object::Heap;
 use crate::value::ObjRef;
@@ -28,8 +29,7 @@ pub struct Monitor {
     pub wait_set: Vec<(ThreadId, u32)>,
 }
 
-/// One invoke site's cached resolution state, keyed by bytecode offset
-/// within its method (see [`CodeBlob::ics`]).
+/// One invoke site's cached resolution state, held by its invoke op.
 ///
 /// The symbolic part (`cname`/`name`/`desc`/`arg_slots`) is decoded
 /// from the constant pool exactly once. `direct` binds sites whose
@@ -83,18 +83,18 @@ pub struct CodeBlob {
     pub is_static: bool,
     /// Line-number table.
     pub line_numbers: Vec<(u16, u16)>,
-    /// Inline caches for the method's invoke sites, keyed by bytecode
-    /// offset, populated lazily by the interpreter.
-    pub ics: RefCell<HashMap<usize, Rc<CallSite>>>,
-    /// Tier-up hotness: bumped on invocation (+8), backward branch
-    /// (+1), and profiler sample (+64); crossing
-    /// [`crate::tiered::TIER_THRESHOLD`] triggers compilation to the
-    /// direct-threaded tier. Host-side bookkeeping only — never
-    /// consulted by anything that charges virtual time.
-    pub hotness: Cell<u32>,
-    /// The method's direct-threaded form, compiled on first tier-up
-    /// (`None` until hot, and forever when tier-up is disabled).
-    pub tiered: RefCell<Option<Rc<crate::tiered::TieredCode>>>,
+    /// The method's op stream, decoded the first time one of its
+    /// frames runs (see [`CodeBlob::ops`]).
+    pub(crate) ops: OnceCell<Result<OpStream, String>>,
+}
+
+impl CodeBlob {
+    /// The method's op stream, decoding it on first use. `Err` says why
+    /// the decoder rejected the bytecode.
+    pub(crate) fn ops(&self) -> &Result<OpStream, String> {
+        self.ops
+            .get_or_init(|| crate::exec::decode(&self.bytecode, &self.exceptions))
+    }
 }
 
 /// Counter handles for the resolution caches, resolved once from the
@@ -110,19 +110,6 @@ pub struct PerfCounters {
     pub ic_hit: Counter,
     /// Inline-cache misses (`jvm.icache.miss`).
     pub ic_miss: Counter,
-    /// Methods compiled to the direct-threaded tier
-    /// (`jvm.tier.compiled`). Tier counters are host-side diagnostics:
-    /// [`RunReport`](doppio_core::report::RunReport) excludes the
-    /// `jvm.tier.*` prefix so reports stay byte-identical with tier-up
-    /// on or off.
-    pub tier_compiled: Counter,
-    /// Deoptimizations: guard failures and inline-cache misses that
-    /// sent a tiered frame back through the switch interpreter
-    /// (`jvm.tier.deopt`).
-    pub tier_deopt: Counter,
-    /// Superinstruction executions in tiered code
-    /// (`jvm.tier.super_hit`).
-    pub tier_super: Counter,
 }
 
 impl PerfCounters {
@@ -134,9 +121,6 @@ impl PerfCounters {
             cp_miss: m.counter("jvm.cp_cache.miss"),
             ic_hit: m.counter("jvm.icache.hit"),
             ic_miss: m.counter("jvm.icache.miss"),
-            tier_compiled: m.counter("jvm.tier.compiled"),
-            tier_deopt: m.counter("jvm.tier.deopt"),
-            tier_super: m.counter("jvm.tier.super_hit"),
         }
     }
 }
@@ -210,10 +194,6 @@ pub struct JvmState {
     pub self_rc: Option<Weak<RefCell<JvmState>>>,
     /// Resolution-cache counters (shared with the metrics registry).
     pub perf: PerfCounters,
-    /// Whether hot methods tier up to direct-threaded code (from
-    /// [`Engine::tier_up_enabled`]). Host speed only; results are
-    /// byte-identical either way.
-    pub tier_up: bool,
 }
 
 impl JvmState {
@@ -251,7 +231,6 @@ impl JvmState {
             join_waiters: HashMap::new(),
             self_rc: None,
             perf: PerfCounters::new(engine),
-            tier_up: engine.tier_up_enabled(),
         }
     }
 
@@ -304,9 +283,7 @@ impl JvmState {
                 && m.name != "<clinit>",
             is_static: m.is_static(),
             line_numbers: code.line_numbers.clone(),
-            ics: RefCell::new(HashMap::new()),
-            hotness: Cell::new(0),
-            tiered: RefCell::new(None),
+            ops: OnceCell::new(),
         });
         self.code_cache.insert((class, method_index), blob.clone());
         Some(blob)

@@ -18,7 +18,6 @@ use crate::loader::{self, AfterFetch};
 use crate::natives::{self, NativeCtx, NativeOutcome, PendingNative};
 use crate::object::HeapObj;
 use crate::state::JvmState;
-use crate::tiered;
 use crate::value::{ObjRef, Value};
 
 enum Pending {
@@ -155,10 +154,7 @@ impl GuestThread for JvmThread {
         }
 
         // The interpreter loop: run until something yields control.
-        // `interp::run` picks the execution tier per entry — the
-        // direct-threaded tier for hot methods, the switch
-        // interpreter otherwise — and only surfaces non-Continue
-        // results.
+        // `interp::run` only surfaces non-Continue results.
         loop {
             let sr = interp::run(&mut state, &mut self.frames, ctx, tid);
             match sr {
@@ -197,16 +193,6 @@ fn profiler_sample(state: &JvmState, frames: &[Frame], thread_name: &str) {
     let now = state.engine.now_ns();
     if !profiler.due(now) {
         return;
-    }
-    // A sampler hit is strong evidence of heat: boost every method on
-    // the sampled stack toward tier-up. Host-side only — the virtual
-    // clock and the profile itself are unaffected.
-    if state.tier_up {
-        for f in frames {
-            f.code
-                .hotness
-                .set(f.code.hotness.get().saturating_add(tiered::SAMPLE_BOOST));
-        }
     }
     let mut stack = Vec::with_capacity(frames.len() + 2);
     stack.push(
