@@ -19,8 +19,19 @@ use doppio_sockets::frames::{decode, encode, Frame};
 use doppio_sockets::sha1::sha1;
 use doppio_trace::{NullSink, Profiler, RingSink};
 
+/// Run `Main` of `classes` on a fresh Native-profile JVM; the
+/// instruction count keeps the run observable.
+fn run_native(classes: &[(String, Vec<u8>)]) -> u64 {
+    let engine = Engine::new(Browser::Native);
+    let fs = FileSystem::new(&engine, backends::in_memory(&engine));
+    fsutil::mount_class_files(&engine, &fs, "/classes", classes);
+    let jvm = Jvm::new(&engine, fs);
+    jvm.launch("Main", &[]);
+    jvm.run_to_completion().unwrap().instructions
+}
+
 fn bench_interpreter() {
-    let classes = compile_to_bytes(
+    let int_loop = compile_to_bytes(
         r#"
         class Main {
             static int work() {
@@ -34,12 +45,51 @@ fn bench_interpreter() {
     )
     .unwrap();
     bench("interpreter", "run_20k_iter_loop_native", || {
-        let engine = Engine::new(Browser::Native);
-        let fs = FileSystem::new(&engine, backends::in_memory(&engine));
-        fsutil::mount_class_files(&engine, &fs, "/classes", &classes);
-        let jvm = Jvm::new(&engine, fs);
-        jvm.launch("Main", &[]);
-        black_box(jvm.run_to_completion().unwrap().instructions)
+        black_box(run_native(&int_loop))
+    });
+    // Heap alloc: instances of a two-level class chain, written and read
+    // through getfield/putfield.
+    let object_churn = compile_to_bytes(
+        r#"
+        class Cell { int value; }
+        class Node extends Cell { Node next; }
+        class Main {
+            static void main(String[] args) {
+                int sum = 0;
+                for (int round = 0; round < 16; round++) {
+                    Node head = null;
+                    for (int i = 0; i < 1000; i++) {
+                        Node n = new Node();
+                        n.value = i;
+                        n.next = head;
+                        head = n;
+                    }
+                    while (head != null) { sum = sum + head.value; head = head.next; }
+                }
+                System.out.println(sum);
+            }
+        }
+        "#,
+    )
+    .unwrap();
+    bench("interpreter", "object_churn", || {
+        black_box(run_native(&object_churn))
+    });
+    // Interpreter op: invoke and return, argument passing included.
+    let call_return = compile_to_bytes(
+        r#"
+        class Main {
+            static int fib(int n) {
+                if (n < 2) { return n; }
+                return fib(n - 1) + fib(n - 2);
+            }
+            static void main(String[] args) { System.out.println(fib(21)); }
+        }
+        "#,
+    )
+    .unwrap();
+    bench("interpreter", "call_return", || {
+        black_box(run_native(&call_return))
     });
 }
 

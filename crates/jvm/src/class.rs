@@ -51,13 +51,19 @@ pub enum CpEntry {
 }
 
 /// A field reference resolved to its declaring class, with the
-/// dictionary key and default value precomputed.
+/// dictionary key, slot and default value precomputed.
 #[derive(Debug)]
 pub struct ResolvedField {
     /// Declaring class.
     pub class: ClassId,
-    /// Dictionary key (`"DeclaringClass.fieldName"`).
+    /// Dictionary key (`"DeclaringClass.fieldName"`). For an instance
+    /// field this is the declaring class's [`InstanceLayout`] key itself,
+    /// so [`InstanceLayout::holds`] can test it by pointer.
     pub key: Rc<str>,
+    /// The field's slot in every instance of the declaring class and its
+    /// subclasses (meaningless for a static field, whose key no layout
+    /// holds).
+    pub slot: usize,
     /// Field descriptor.
     pub descriptor: Rc<str>,
     /// Default value for the descriptor (lazy `getfield` on a fresh
@@ -88,8 +94,9 @@ pub struct ClassConst {
 pub struct RuntimeClass {
     /// Registry index.
     pub id: ClassId,
-    /// Binary name (`"java/lang/String"`, `"[I"`, ...).
-    pub name: String,
+    /// Binary name (`"java/lang/String"`, `"[I"`, ...); shared, so a
+    /// native call can hold it while the natives mutate the state.
+    pub name: Rc<str>,
     /// Superclass (None only for `java/lang/Object`).
     pub super_id: Option<ClassId>,
     /// Directly implemented interfaces.
@@ -100,11 +107,67 @@ pub struct RuntimeClass {
     pub array_component: Option<String>,
     /// Static fields, keyed `"Class.name"`.
     pub statics: HashMap<String, Value>,
+    /// Where each instance field lives in an instance's slots.
+    pub layout: InstanceLayout,
     /// Initialization state.
     pub clinit: ClinitState,
     /// Quickened constant-pool entries, keyed by CP index, populated on
     /// first use by the interpreter.
     pub cp_cache: RefCell<HashMap<u16, CpEntry>>,
+}
+
+/// The slots of a class's instances: §6.7's field dictionary laid out
+/// flat. Inherited fields come first, then the class's own in
+/// declaration order, so a field has the same slot in every subclass.
+/// Every slot's key is shared (`Rc`) with the superclass layouts, which
+/// is what lets a slot be checked by pointer identity.
+#[derive(Debug, Default)]
+pub struct InstanceLayout {
+    /// Each slot's dictionary key (`"DeclaringClass.fieldName"`).
+    pub keys: Vec<Rc<str>>,
+    /// Each slot's default value: a new instance's slots.
+    pub defaults: Box<[Value]>,
+}
+
+impl InstanceLayout {
+    /// The layout of `cf`'s instances, extending its superclass's.
+    fn extend(sup: Option<&InstanceLayout>, name: &str, cf: &ClassFile) -> InstanceLayout {
+        let mut keys = sup.map(|l| l.keys.clone()).unwrap_or_default();
+        let mut defaults = sup.map(|l| l.defaults.to_vec()).unwrap_or_default();
+        let own = keys.len();
+        for f in cf
+            .fields
+            .iter()
+            .filter(|f| f.access_flags & access::ACC_STATIC == 0)
+        {
+            let key = format!("{name}.{}", f.name);
+            let default = Value::default_for(&f.descriptor);
+            // A repeated name shares one dictionary entry, initialized
+            // by the last declaration.
+            if let Some(first) = keys[own..].iter().position(|k| **k == *key) {
+                defaults[own + first] = default;
+            }
+            keys.push(Rc::from(key));
+            defaults.push(default);
+        }
+        InstanceLayout {
+            keys,
+            defaults: defaults.into(),
+        }
+    }
+
+    /// Whether slot `slot` holds the field keyed by exactly `key`: the
+    /// guard of a resolved field access. A receiver of any other class
+    /// (unverified code can pass one) fails it and never aliases a field.
+    #[inline]
+    pub fn holds(&self, slot: usize, key: &Rc<str>) -> bool {
+        self.keys.get(slot).is_some_and(|k| Rc::ptr_eq(k, key))
+    }
+
+    /// The slot of the dictionary entry `key`, by name.
+    pub fn slot_of(&self, key: &str) -> Option<usize> {
+        self.keys.iter().position(|k| **k == *key)
+    }
 }
 
 impl RuntimeClass {
@@ -124,19 +187,6 @@ pub struct MethodRef {
     pub class: ClassId,
     /// Index into that class's `methods`.
     pub index: usize,
-}
-
-/// A resolved field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FieldRef {
-    /// Declaring class.
-    pub class: ClassId,
-    /// Dictionary key (`"DeclaringClass.fieldName"`).
-    pub key: String,
-    /// Field descriptor.
-    pub descriptor: String,
-    /// Whether the field is static.
-    pub is_static: bool,
 }
 
 /// The class registry: all defined classes, by id and name.
@@ -217,15 +267,17 @@ impl ClassRegistry {
                 );
             }
         }
+        let layout = InstanceLayout::extend(super_id.map(|s| &self.get(s).layout), &name, &cf);
         self.by_name.insert(name.clone(), id);
         self.classes.push(RuntimeClass {
             id,
-            name,
+            name: Rc::from(name),
             super_id,
             interfaces,
             cf: Some(cf),
             array_component: None,
             statics,
+            layout,
             clinit: ClinitState::NotStarted,
             cp_cache: RefCell::new(HashMap::new()),
         });
@@ -249,12 +301,13 @@ impl ClassRegistry {
         self.by_name.insert(name.to_string(), id);
         self.classes.push(RuntimeClass {
             id,
-            name: name.to_string(),
+            name: Rc::from(name),
             super_id: Some(object),
             interfaces: Vec::new(),
             cf: None,
             array_component: Some(component),
             statics: HashMap::new(),
+            layout: InstanceLayout::default(),
             clinit: ClinitState::Initialized,
             cp_cache: RefCell::new(HashMap::new()),
         });
@@ -332,15 +385,31 @@ impl ClassRegistry {
 
     /// Resolve a field by walking the class, its interfaces, then the
     /// superclass chain (JVMS §5.4.3.2).
-    pub fn resolve_field(&self, class: ClassId, name: &str) -> Option<FieldRef> {
+    pub fn resolve_field(&self, class: ClassId, name: &str) -> Option<ResolvedField> {
         let rc = self.get(class);
         if let Some(cf) = &rc.cf {
-            if let Some(f) = cf.fields.iter().find(|f| f.name == name) {
-                return Some(FieldRef {
+            if let Some(i) = cf.fields.iter().position(|f| f.name == name) {
+                let f = &cf.fields[i];
+                let is_static = f.access_flags & access::ACC_STATIC != 0;
+                let (key, slot) = if is_static {
+                    (Rc::from(format!("{}.{}", rc.name, name)), 0)
+                } else {
+                    // The own fields follow the inherited ones.
+                    let inherited = rc.super_id.map_or(0, |s| self.get(s).layout.keys.len());
+                    let before = cf.fields[..i]
+                        .iter()
+                        .filter(|f| f.access_flags & access::ACC_STATIC == 0)
+                        .count();
+                    let slot = inherited + before;
+                    (rc.layout.keys[slot].clone(), slot)
+                };
+                return Some(ResolvedField {
                     class,
-                    key: format!("{}.{}", rc.name, name),
-                    descriptor: f.descriptor.clone(),
-                    is_static: f.access_flags & access::ACC_STATIC != 0,
+                    key,
+                    slot,
+                    descriptor: Rc::from(f.descriptor.as_str()),
+                    default: Value::default_for(&f.descriptor),
+                    is_static,
                 });
             }
         }
@@ -352,32 +421,12 @@ impl ClassRegistry {
         rc.super_id.and_then(|s| self.resolve_field(s, name))
     }
 
-    /// All instance fields of a class, including inherited ones, as
-    /// `(dictionary key, descriptor)` pairs — used to build the field
-    /// dictionary of a new instance (§6.7).
-    pub fn instance_field_layout(&self, class: ClassId) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        let mut cur = Some(class);
-        while let Some(id) = cur {
-            let rc = self.get(id);
-            if let Some(cf) = &rc.cf {
-                for f in &cf.fields {
-                    if f.access_flags & access::ACC_STATIC == 0 {
-                        out.push((format!("{}.{}", rc.name, f.name), f.descriptor.clone()));
-                    }
-                }
-            }
-            cur = rc.super_id;
-        }
-        out
-    }
-
     /// Subtype test: can a value of class `sub` be assigned to
     /// `super_name`? Handles classes, interfaces, and array
     /// covariance.
     pub fn is_assignable(&self, sub: ClassId, super_name: &str) -> bool {
         let sub_rc = self.get(sub);
-        if sub_rc.name == super_name || super_name == "java/lang/Object" {
+        if *sub_rc.name == *super_name || super_name == "java/lang/Object" {
             return true;
         }
         // Array covariance: [X assignable to [Y iff X assignable to Y.
@@ -469,17 +518,64 @@ mod tests {
         assert_eq!(init.class, obj);
         // Field resolution finds A's field from B, keyed by declarer.
         let f = reg.resolve_field(b, "x").unwrap();
-        assert_eq!(f.key, "demo/A.x");
+        assert_eq!(&*f.key, "demo/A.x");
         assert!(!f.is_static);
         let s = reg.resolve_field(b, "count").unwrap();
         assert!(s.is_static);
-        // Instance layout includes inherited fields.
-        let layout = reg.instance_field_layout(b);
-        assert_eq!(layout, vec![("demo/A.x".to_string(), "I".to_string())]);
+        // Instance layout includes inherited fields, in the same slot.
+        let layout = &reg.get(b).layout;
+        assert_eq!(layout.keys, vec![Rc::from("demo/A.x")]);
+        assert_eq!(&*layout.defaults, &[Value::Int(0)]);
+        assert!(layout.holds(f.slot, &f.key));
+        assert!(reg.get(a).layout.holds(f.slot, &f.key));
+        assert!(!layout.holds(f.slot, &Rc::from("demo/A.x")));
         // Assignability.
         assert!(reg.is_assignable(b, "demo/A"));
         assert!(reg.is_assignable(b, "java/lang/Object"));
         assert!(!reg.is_assignable(a, "demo/B"));
+    }
+
+    #[test]
+    fn layouts_put_inherited_fields_first_and_keep_their_slots() {
+        let mut reg = ClassRegistry::new();
+        define_object(&mut reg);
+        let a = simple_class(&mut reg, "demo/A", "java/lang/Object");
+        let mut b = ClassBuilder::new("demo/B", "demo/A");
+        b.add_field(access::ACC_PUBLIC, "x", "J");
+        b.add_field(access::ACC_STATIC, "s", "I");
+        b.add_field(access::ACC_PUBLIC, "r", "Ljava/lang/Object;");
+        let b = reg.define(b.finish()).unwrap();
+        let mut c = ClassBuilder::new("demo/C", "demo/B");
+        // A repeated name is one dictionary entry, defaulted by its last
+        // declaration, at the slot of its first.
+        c.add_field(access::ACC_PUBLIC, "d", "I");
+        c.add_field(access::ACC_PUBLIC, "d", "D");
+        let c = reg.define(c.finish()).unwrap();
+        let layout = &reg.get(c).layout;
+        let keys: Vec<&str> = layout.keys.iter().map(|k| &**k).collect();
+        assert_eq!(
+            keys,
+            ["demo/A.x", "demo/B.x", "demo/B.r", "demo/C.d", "demo/C.d"]
+        );
+        assert_eq!(
+            &*layout.defaults,
+            &[
+                Value::Int(0),
+                Value::Long(0),
+                Value::Ref(None),
+                Value::Double(0.0),
+                Value::Double(0.0)
+            ]
+        );
+        // Each class's keys are shared by its subclasses, slot for slot.
+        for (class, name, slot) in [(a, "x", 0), (b, "x", 1), (b, "r", 2), (c, "d", 3)] {
+            let f = reg.resolve_field(class, name).unwrap();
+            assert_eq!(f.slot, slot);
+            assert!(layout.holds(slot, &f.key));
+            assert!(!layout.holds(slot + 1, &f.key));
+        }
+        assert!(reg.get(c).layout.slot_of("demo/B.s").is_none());
+        assert!(!reg.get(a).layout.holds(1, &reg.get(b).layout.keys[1]));
     }
 
     #[test]

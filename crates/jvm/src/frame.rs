@@ -30,18 +30,6 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// A frame for `code`, locals zero-initialized.
-    pub fn new(code: Rc<CodeBlob>) -> Frame {
-        let locals = vec![Value::Int(0); code.max_locals as usize];
-        Frame {
-            code,
-            pc: 0,
-            locals,
-            stack: Vec::with_capacity(8),
-            held_monitor: None,
-        }
-    }
-
     /// Push a value (wide values get their padding slot).
     #[inline]
     pub fn push(&mut self, v: Value) {
@@ -135,14 +123,25 @@ mod tests {
             max_locals: 6,
             synchronized: false,
             is_static: true,
+            is_clinit: false,
             line_numbers: vec![],
             ops: std::cell::OnceCell::new(),
         })
     }
 
+    fn frame() -> Frame {
+        Frame {
+            code: blob(),
+            pc: 0,
+            locals: vec![Value::Int(0); 6],
+            stack: Vec::new(),
+            held_monitor: None,
+        }
+    }
+
     #[test]
     fn wide_values_occupy_two_slots() {
-        let mut f = Frame::new(blob());
+        let mut f = frame();
         f.push(Value::Long(7));
         assert_eq!(f.stack.len(), 2);
         assert_eq!(f.pop_long(), 7);
@@ -151,7 +150,7 @@ mod tests {
 
     #[test]
     fn locals_handle_wide_values() {
-        let mut f = Frame::new(blob());
+        let mut f = frame();
         f.set_local(2, Value::Double(1.5));
         assert_eq!(f.local(2), Value::Double(1.5));
         assert_eq!(f.local(3), Value::Padding);
@@ -161,7 +160,7 @@ mod tests {
 
     #[test]
     fn slot_level_shuffles_see_padding() {
-        let mut f = Frame::new(blob());
+        let mut f = frame();
         f.push(Value::Long(1));
         // pop2 as two slot pops.
         let a = f.pop_slot();

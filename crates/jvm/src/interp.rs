@@ -354,7 +354,7 @@ pub(crate) fn resolve_field(
             return Err(StepResult::CallBoundary);
         }
     }
-    let Some(fr) = state.registry.resolve_field(class_id, &fname) else {
+    let Some(resolved) = state.registry.resolve_field(class_id, &fname) else {
         let msg = format!("{cname}.{fname}");
         return Err(throw_vm(
             state,
@@ -365,13 +365,7 @@ pub(crate) fn resolve_field(
             &msg,
         ));
     };
-    let resolved = Rc::new(ResolvedField {
-        class: fr.class,
-        key: Rc::from(fr.key.as_str()),
-        default: Value::default_for(&fr.descriptor),
-        descriptor: Rc::from(fr.descriptor.as_str()),
-        is_static: fr.is_static,
-    });
+    let resolved = Rc::new(resolved);
     // Instance-field resolution is stable (classes are never redefined).
     // A static one quickens only once the `<clinit>` chain completed, so
     // the hit path may skip the init protocol.
@@ -572,7 +566,7 @@ fn ensure_initialized(
                 };
                 if let Some(midx) = clinit {
                     let blob = state.code_blob(id, midx).expect("clinit has code");
-                    frames.push(Frame::new(blob));
+                    frames.push(state.new_frame(blob));
                     return InitAction::Pushed;
                 }
             }
@@ -581,16 +575,14 @@ fn ensure_initialized(
     InitAction::Ready
 }
 
-/// Allocate an instance with its field dictionary pre-populated (§6.7).
+/// Allocate an instance with every field defaulted, charged as §6.7's
+/// dictionary: one map operation per field.
 pub fn alloc_instance(state: &mut JvmState, class: ClassId) -> ObjRef {
     state.engine.charge(Cost::Alloc);
-    let layout = state.registry.instance_field_layout(class);
-    state.engine.charge_n(Cost::MapOp, layout.len() as u64);
-    let fields = layout
-        .into_iter()
-        .map(|(key, desc)| (key, Value::default_for(&desc)))
-        .collect();
-    state.heap.alloc(HeapObj::Instance { class, fields })
+    let layout = &state.registry.get(class).layout;
+    state.engine.charge_n(Cost::MapOp, layout.keys.len() as u64);
+    let obj = HeapObj::instance(class, layout);
+    state.heap.alloc(obj)
 }
 
 pub(crate) fn alloc_multi(state: &mut JvmState, desc: &str, sizes: &[i32]) -> ObjRef {
@@ -640,12 +632,10 @@ pub fn class_object(state: &mut JvmState, name: &str) -> ObjRef {
     let r = match class_id {
         Some(cid) => {
             let name_ref = state.intern_string(name);
-            let mut fields = std::collections::HashMap::new();
-            fields.insert(
-                "java/lang/Class.name".to_string(),
-                Value::Ref(Some(name_ref)),
-            );
-            state.heap.alloc(HeapObj::Instance { class: cid, fields })
+            let mirror = HeapObj::instance(cid, &state.registry.get(cid).layout);
+            let r = state.heap.alloc(mirror);
+            state.set_field(r, "java/lang/Class.name", Value::Ref(Some(name_ref)));
+            r
         }
         None => state.heap.alloc_string(name),
     };
@@ -762,12 +752,7 @@ pub fn make_exception(state: &mut JvmState, class_name: &str, message: &str) -> 
     match state.registry.lookup(class_name) {
         Some(cid) => {
             let r = alloc_instance(state, cid);
-            if let HeapObj::Instance { fields, .. } = state.heap.get_mut(r) {
-                fields.insert(
-                    "java/lang/Throwable.message".to_string(),
-                    Value::Ref(Some(msg_ref)),
-                );
-            }
+            state.set_field(r, "java/lang/Throwable.message", Value::Ref(Some(msg_ref)));
             r
         }
         // Bootstrap fallback: a bare string stands in for the object.
@@ -838,12 +823,13 @@ fn pop_frame(
     tid: ThreadId,
 ) {
     let popped = frames.pop().expect("frame");
-    if popped.code.name == "<clinit>" {
+    if popped.code.is_clinit {
         state.registry.get_mut(popped.code.class).clinit = ClinitState::Initialized;
     }
     if let Some(mon) = popped.held_monitor {
         let _ = exit_monitor(state, ctx, mon, tid);
     }
+    state.free_frame(popped);
 }
 
 // ----------------------------------------------------------------
@@ -884,14 +870,28 @@ pub(crate) fn invoke_with_site(
 ) -> StepResult {
     let arg_slots = site.arg_slots;
     let has_receiver = opcode != op::INVOKESTATIC;
+    let total_slots = arg_slots + usize::from(has_receiver);
+    // Unverified code can invoke with too few operands.
+    let caller_stack = &frames.last().expect("frame").stack;
+    let Some(split) = caller_stack.len().checked_sub(total_slots) else {
+        let msg = format!(
+            "{}.{}{} takes {total_slots} argument slots; the operand stack holds {}",
+            site.cname,
+            site.name,
+            site.desc,
+            caller_stack.len()
+        );
+        return throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg);
+    };
+    // The receiver, under the arguments.
+    let recv = caller_stack.get(split).copied().filter(|_| has_receiver);
 
     // Select the target method.
     let (target, method_flags) = if opcode == op::INVOKEVIRTUAL || opcode == op::INVOKEINTERFACE {
-        // Peek the receiver under the arguments for dynamic dispatch.
-        let frame = frames.last().expect("frame");
-        let recv = match frame.peek(arg_slots) {
-            Value::Ref(Some(r)) => *r,
-            Value::Ref(None) => {
+        // Dispatch on the receiver.
+        let recv = match recv {
+            Some(Value::Ref(Some(r))) => r,
+            Some(Value::Ref(None)) => {
                 let msg = format!("invoke {}", site.name);
                 return throw_vm(
                     state,
@@ -945,8 +945,7 @@ pub(crate) fn invoke_with_site(
     } else {
         if opcode == op::INVOKESPECIAL {
             // invokespecial still null-checks its receiver.
-            let frame = frames.last().expect("frame");
-            if matches!(frame.peek(arg_slots), Value::Ref(None)) {
+            if matches!(recv, Some(Value::Ref(None))) {
                 let msg = format!("invokespecial {}", site.name);
                 return throw_vm(
                     state,
@@ -1014,9 +1013,8 @@ pub(crate) fn invoke_with_site(
             let cls_name = state.registry.get(target.class).name.clone();
             class_object(state, &cls_name)
         } else {
-            let frame = frames.last().expect("frame");
-            match frame.peek(arg_slots) {
-                Value::Ref(Some(r)) => *r,
+            match recv {
+                Some(Value::Ref(Some(r))) => r,
                 _ => {
                     return throw_vm(
                         state,
@@ -1037,21 +1035,15 @@ pub(crate) fn invoke_with_site(
         }
     }
 
-    // Pop arguments (and receiver) into a locals prefix.
-    let frame = frames.last_mut().expect("frame");
-    let total_slots = arg_slots + usize::from(has_receiver);
-    let split = frame.stack.len() - total_slots;
-    let args: Vec<Value> = frame.stack.split_off(split);
-    frame.pc = next_pc; // the call returns past the invoke
+    let caller = frames.last_mut().expect("frame");
+    caller.pc = next_pc; // the call returns past the invoke
 
     // Native?
     if method_flags & access::ACC_NATIVE != 0 {
         // Natives see logical values, not stack slots: drop the
         // padding slots of wide arguments.
-        let args: Vec<Value> = args
-            .into_iter()
-            .filter(|v| !matches!(v, Value::Padding))
-            .collect();
+        let mut args = caller.stack.split_off(split);
+        args.retain(|v| !matches!(v, Value::Padding));
         let class_name = state.registry.get(target.class).name.clone();
         let outcome = natives::call_native(
             &mut NativeCtx {
@@ -1088,10 +1080,25 @@ pub(crate) fn invoke_with_site(
             &format!("{}.{}{}", site.cname, site.name, site.desc),
         );
     };
-    let mut new_frame = Frame::new(blob);
-    new_frame.held_monitor = acquired_monitor;
-    // Copy argument slots verbatim (they are already slot-expanded).
-    new_frame.locals[..args.len()].copy_from_slice(&args);
-    frames.push(new_frame);
+    if usize::from(blob.max_locals) < total_slots {
+        // Like malformed code: the callee never runs, and the error is
+        // thrown from the caller.
+        if let Some(mon) = acquired_monitor {
+            let _ = exit_monitor(state, ctx, mon, tid);
+        }
+        let msg = format!(
+            "{}.{}{}: {total_slots} argument slots exceed max_locals {}",
+            site.cname, site.name, site.desc, blob.max_locals
+        );
+        return throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg);
+    }
+    let mut callee = state.new_frame(blob);
+    callee.held_monitor = acquired_monitor;
+    // Move the argument slots (already slot-expanded) from the caller's
+    // operand stack straight into the callee's locals.
+    let caller = frames.last_mut().expect("frame");
+    callee.locals[..total_slots].copy_from_slice(&caller.stack[split..]);
+    caller.stack.truncate(split);
+    frames.push(callee);
     StepResult::CallBoundary
 }

@@ -18,7 +18,6 @@ use doppio_classfile::access::{ACC_PUBLIC, ACC_STATIC};
 use doppio_classfile::builder::{ClassBuilder, MethodBuilder};
 use doppio_classfile::opcodes::AASTORE;
 
-use crate::frame::Frame;
 use crate::loader;
 use crate::natives::{NativeCtx, NativeOutcome};
 use crate::rtlib;
@@ -223,10 +222,11 @@ impl Jvm {
             .position(|mm| mm.name == "boot")
             .expect("boot method");
         let blob = state.code_blob(boot_id, boot_idx).expect("boot blob");
+        let frame = state.new_frame(blob);
         state.live_threads += 1;
         drop(state);
 
-        let thread = JvmThread::new(self.state.clone(), "main", Frame::new(blob));
+        let thread = JvmThread::new(self.state.clone(), "main", frame);
         *self.main_uncaught.borrow_mut() = Some(thread.uncaught.clone());
         Box::new(thread)
     }

@@ -165,9 +165,11 @@ pub fn call_native(
     args: Vec<Value>,
 ) -> NativeOutcome {
     // User-registered natives take precedence (the §6.3 JNI path).
-    let key = (class.to_string(), name.to_string(), desc.to_string());
-    if let Some(f) = n.state_user_native(&key) {
-        return f(n, args);
+    if !n.state.user_natives.is_empty() {
+        let key = (class.to_string(), name.to_string(), desc.to_string());
+        if let Some(f) = n.state.user_natives.get(&key).cloned() {
+            return f(n, args);
+        }
     }
     match class {
         "java/lang/Object" => object_native(n, name, desc, args),
@@ -191,20 +193,6 @@ pub fn call_native(
             "java/lang/UnsatisfiedLinkError",
             format!("{class}.{name}{desc}"),
         ),
-    }
-}
-
-// Work around borrow rules: fetch a user native as an Rc clone.
-impl JvmState {
-    /// Registered user natives.
-    pub fn user_native(&self, key: &(String, String, String)) -> Option<crate::jvm::UserNative> {
-        self.user_natives.get(key).cloned()
-    }
-}
-
-impl NativeCtx<'_, '_, '_> {
-    fn state_user_native(&self, key: &(String, String, String)) -> Option<crate::jvm::UserNative> {
-        self.state.user_native(key)
     }
 }
 
@@ -492,12 +480,10 @@ fn printstream_native(
     let Some(recv) = args.first().and_then(Value::as_ref) else {
         return npe("PrintStream");
     };
-    let is_err = match n.state.heap.get(recv) {
-        HeapObj::Instance { fields, .. } => {
-            matches!(fields.get("java/io/PrintStream.fd"), Some(Value::Int(2)))
-        }
-        _ => false,
-    };
+    let is_err = matches!(
+        n.state.field(recv, "java/io/PrintStream.fd"),
+        Some(Value::Int(2))
+    );
     let newline = name == "println";
     if name != "print" && name != "println" {
         return throw(
@@ -1101,12 +1087,11 @@ fn throwable_native(
             let text = trace.join("\n\tat ");
             let trace_ref = n.state.heap.alloc_string(text);
             if let Some(r) = args[0].as_ref() {
-                if let HeapObj::Instance { fields, .. } = n.state.heap.get_mut(r) {
-                    fields.insert(
-                        "java/lang/Throwable.stackTrace".to_string(),
-                        Value::Ref(Some(trace_ref)),
-                    );
-                }
+                n.state.set_field(
+                    r,
+                    "java/lang/Throwable.stackTrace",
+                    Value::Ref(Some(trace_ref)),
+                );
             }
             NativeOutcome::Return(Some(args[0]))
         }
@@ -1130,13 +1115,10 @@ fn throwable_native(
             let Some(r) = args[0].as_ref() else {
                 return npe("getMessage");
             };
-            let msg = match n.state.heap.get(r) {
-                HeapObj::Instance { fields, .. } => fields
-                    .get("java/lang/Throwable.message")
-                    .copied()
-                    .unwrap_or(Value::null()),
-                _ => Value::null(),
-            };
+            let msg = n
+                .state
+                .field(r, "java/lang/Throwable.message")
+                .unwrap_or(Value::null());
             NativeOutcome::Return(Some(msg))
         }
         _ => throw(
@@ -1149,16 +1131,14 @@ fn throwable_native(
 /// `(class name, message, stack trace)` of a throwable object.
 pub fn describe_throwable(state: &JvmState, r: ObjRef) -> (String, String, String) {
     match state.heap.get(r) {
-        HeapObj::Instance { class, fields } => {
+        HeapObj::Instance { class, .. } => {
             let cls = state.registry.get(*class).name.replace('/', ".");
-            let msg = match fields.get("java/lang/Throwable.message") {
-                Some(Value::Ref(Some(m))) => state.heap.java_string(*m).unwrap_or("").to_string(),
+            let text = |key| match state.field(r, key) {
+                Some(Value::Ref(Some(s))) => state.heap.java_string(s).unwrap_or("").to_string(),
                 _ => String::new(),
             };
-            let trace = match fields.get("java/lang/Throwable.stackTrace") {
-                Some(Value::Ref(Some(t))) => state.heap.java_string(*t).unwrap_or("").to_string(),
-                _ => String::new(),
-            };
+            let msg = text("java/lang/Throwable.message");
+            let trace = text("java/lang/Throwable.stackTrace");
             (cls, msg, trace)
         }
         HeapObj::JavaString(s) => ("java.lang.Throwable".into(), s.clone(), String::new()),
@@ -1177,16 +1157,10 @@ fn class_native(
             let Some(r) = args[0].as_ref() else {
                 return npe("getName");
             };
-            let n2 = match n.state.heap.get(r) {
-                HeapObj::Instance { fields, .. } => match fields.get("java/lang/Class.name") {
-                    Some(Value::Ref(Some(s))) => n
-                        .state
-                        .heap
-                        .java_string(*s)
-                        .unwrap_or("?")
-                        .replace('/', "."),
-                    _ => "?".to_string(),
-                },
+            let n2 = match n.state.field(r, "java/lang/Class.name") {
+                Some(Value::Ref(Some(s))) => {
+                    n.state.heap.java_string(s).unwrap_or("?").replace('/', ".")
+                }
                 _ => "?".to_string(),
             };
             n.ret_string(n2)

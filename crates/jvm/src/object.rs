@@ -4,26 +4,37 @@
 //! object contains a reference to its class and a dictionary that
 //! contains all of its fields keyed on their names. JVM arrays are ...
 //! mapped to a JavaScript object that contains an array of values."
-//! We reproduce exactly that layout — instances carry a *dictionary*
-//! of fields (charged as map operations on browser profiles), arrays a
-//! typed vector. The original leans on the JavaScript garbage
-//! collector; our arena correspondingly never frees (object lifetimes
-//! in the benchmarks are run-scoped).
+//! That dictionary is our *cost model*: allocating an instance charges
+//! one map operation per field and every field access one more (map
+//! operations cost time on the browser profiles). On the host an
+//! instance is a slot array laid out by its class's
+//! [`InstanceLayout`](crate::class::InstanceLayout) (inherited fields
+//! first), and a resolved field access indexes it after a
+//! pointer-identity guard on the layout's key. Unverified code can name
+//! a field the receiver's class lacks; such an entry lives in a small
+//! side list, so reads and writes keep the dictionary's semantics.
+//! Arrays are typed vectors. The original leans on the JavaScript
+//! garbage collector; our arena correspondingly never frees (object
+//! lifetimes in the benchmarks are run-scoped).
 
-use std::collections::HashMap;
+use std::rc::Rc;
 
-use crate::class::ClassId;
+use crate::class::{ClassId, InstanceLayout};
 use crate::value::{ObjRef, Value};
 
 /// An object on the JVM heap.
 #[derive(Debug, Clone)]
 pub enum HeapObj {
-    /// A class instance: class reference + field dictionary (§6.7).
+    /// A class instance: class reference + field slots (§6.7).
     Instance {
         /// The instance's class.
         class: ClassId,
-        /// Fields keyed `"DeclaringClass.fieldName"`.
-        fields: HashMap<String, Value>,
+        /// One value per slot of the class's `InstanceLayout`.
+        fields: Box<[Value]>,
+        /// Entries its class lacks, keyed `"DeclaringClass.fieldName"`:
+        /// written only by unverified code that puts a field of another
+        /// class.
+        stray: Vec<(Rc<str>, Value)>,
     },
     /// `java/lang/String`: the character data lives Rust-side, as the
     /// original keeps it in a JavaScript string.
@@ -55,6 +66,15 @@ pub enum HeapObj {
 }
 
 impl HeapObj {
+    /// A fresh instance of a class with `layout`: every slot defaulted.
+    pub fn instance(class: ClassId, layout: &InstanceLayout) -> HeapObj {
+        HeapObj::Instance {
+            class,
+            fields: layout.defaults.clone(),
+            stray: Vec::new(),
+        }
+    }
+
     /// Array length, if this is an array.
     pub fn array_len(&self) -> Option<usize> {
         Some(match self {

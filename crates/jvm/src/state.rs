@@ -14,9 +14,10 @@ use doppio_trace::Counter;
 
 use crate::class::{ClassId, ClassRegistry, MethodRef};
 use crate::exec::OpStream;
+use crate::frame::Frame;
 use crate::loader::LoaderState;
-use crate::object::Heap;
-use crate::value::ObjRef;
+use crate::object::{Heap, HeapObj};
+use crate::value::{ObjRef, Value};
 
 /// A JVM monitor (the lock behind `monitorenter`/`synchronized`).
 #[derive(Debug, Default)]
@@ -81,6 +82,9 @@ pub struct CodeBlob {
     pub synchronized: bool,
     /// Whether the method is `static`.
     pub is_static: bool,
+    /// Whether the method is `<clinit>` (popping its frame finishes the
+    /// class's initialization).
+    pub is_clinit: bool,
     /// Line-number table.
     pub line_numbers: Vec<(u16, u16)>,
     /// The method's op stream, decoded the first time one of its
@@ -162,8 +166,11 @@ pub struct JvmState {
     pub loader: LoaderState,
     /// Classpath entries (directories on `fs`).
     pub classpath: Vec<String>,
-    /// Method-code cache.
-    pub code_cache: HashMap<(ClassId, usize), Rc<CodeBlob>>,
+    /// Method code by class id, then method index, built on first use.
+    code_blobs: Vec<Vec<Option<Rc<CodeBlob>>>>,
+    /// The `locals` and `stack` buffers of popped frames, reused by the
+    /// next push so a call allocates nothing once the pool is warm.
+    frame_buffers: Vec<(Vec<Value>, Vec<Value>)>,
     /// `System.exit` code, if called.
     pub exit_code: Option<i32>,
     /// JavaScript-interop hook (§6.8 `eval`).
@@ -216,7 +223,8 @@ impl JvmState {
             sockets: Vec::new(),
             loader: LoaderState::default(),
             classpath: vec!["/classes".to_string()],
-            code_cache: HashMap::new(),
+            code_blobs: Vec::new(),
+            frame_buffers: Vec::new(),
             exit_code: None,
             js_eval: None,
             instructions: 0,
@@ -262,15 +270,58 @@ impl JvmState {
         self.stdin.extend(bytes);
     }
 
+    /// The dictionary entry `key` (`"DeclaringClass.fieldName"`) of
+    /// object `obj`, looked up by name: `None` when absent or not an
+    /// instance. Natives read fields this way; so does a field access
+    /// whose receiver fails the slot guard, hence cold.
+    #[cold]
+    pub fn field(&self, obj: ObjRef, key: &str) -> Option<Value> {
+        let HeapObj::Instance {
+            class,
+            fields,
+            stray,
+        } = self.heap.get(obj)
+        else {
+            return None;
+        };
+        match self.registry.get(*class).layout.slot_of(key) {
+            Some(slot) => Some(fields[slot]),
+            None => stray.iter().find(|(k, _)| **k == *key).map(|&(_, v)| v),
+        }
+    }
+
+    /// Set the dictionary entry `key` of object `obj`, adding it beside
+    /// the slots if its class lacks it; anything but an instance ignores
+    /// the write.
+    #[cold]
+    pub fn set_field(&mut self, obj: ObjRef, key: &str, v: Value) {
+        let HeapObj::Instance {
+            class,
+            fields,
+            stray,
+        } = self.heap.get_mut(obj)
+        else {
+            return;
+        };
+        if let Some(slot) = self.registry.get(*class).layout.slot_of(key) {
+            fields[slot] = v;
+        } else if let Some(entry) = stray.iter_mut().find(|(k, _)| **k == *key) {
+            entry.1 = v;
+        } else {
+            stray.push((Rc::from(key), v));
+        }
+    }
+
     /// The code blob for a method, building it on first use.
     pub fn code_blob(&mut self, class: ClassId, method_index: usize) -> Option<Rc<CodeBlob>> {
-        if let Some(b) = self.code_cache.get(&(class, method_index)) {
+        if let Some(Some(b)) = self.code_blobs.get(class).and_then(|t| t.get(method_index)) {
             return Some(b.clone());
         }
         let rc = self.registry.get(class);
         let cf = rc.cf.as_ref()?;
         let m = cf.methods.get(method_index)?;
         let code = m.code.as_ref()?;
+        let is_clinit = m.name == "<clinit>";
         let blob = Rc::new(CodeBlob {
             class,
             method_index,
@@ -280,12 +331,49 @@ impl JvmState {
             exceptions: code.exception_table.clone(),
             max_locals: code.max_locals,
             synchronized: m.access_flags & doppio_classfile::access::ACC_SYNCHRONIZED != 0
-                && m.name != "<clinit>",
+                && !is_clinit,
             is_static: m.is_static(),
+            is_clinit,
             line_numbers: code.line_numbers.clone(),
             ops: OnceCell::new(),
         });
-        self.code_cache.insert((class, method_index), blob.clone());
+        if self.code_blobs.len() <= class {
+            self.code_blobs.resize_with(class + 1, Vec::new);
+        }
+        let table = &mut self.code_blobs[class];
+        if table.len() <= method_index {
+            table.resize(method_index + 1, None);
+        }
+        table[method_index] = Some(blob.clone());
         Some(blob)
+    }
+
+    /// A frame for `code`, its locals zeroed, on the buffers of a popped
+    /// frame when one is pooled.
+    pub fn new_frame(&mut self, code: Rc<CodeBlob>) -> Frame {
+        let (mut locals, stack) = self
+            .frame_buffers
+            .pop()
+            .unwrap_or_else(|| (Vec::new(), Vec::with_capacity(8)));
+        locals.resize(code.max_locals as usize, Value::Int(0));
+        Frame {
+            code,
+            pc: 0,
+            locals,
+            stack,
+            held_monitor: None,
+        }
+    }
+
+    /// Return a popped frame's buffers to the pool.
+    pub fn free_frame(&mut self, frame: Frame) {
+        let Frame {
+            mut locals,
+            mut stack,
+            ..
+        } = frame;
+        locals.clear();
+        stack.clear();
+        self.frame_buffers.push((locals, stack));
     }
 }

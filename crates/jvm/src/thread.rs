@@ -370,7 +370,13 @@ pub fn spawn_java_thread(n: &mut NativeCtx<'_, '_, '_>, thread_obj: ObjRef) -> N
             message: "run()V".into(),
         };
     };
-    let mut frame = Frame::new(blob);
+    if blob.max_locals == 0 {
+        return NativeOutcome::Throw {
+            class: "java/lang/InternalError".into(),
+            message: "run()V: 1 argument slot exceeds max_locals 0".into(),
+        };
+    }
+    let mut frame = n.state.new_frame(blob);
     frame.locals[0] = Value::Ref(Some(thread_obj));
     let name = format!("Thread-{}", n.state.thread_objs.len());
     let thread = JvmThread::new(state_rc, name.clone(), frame);
