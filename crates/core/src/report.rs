@@ -594,13 +594,13 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use doppio_jsengine::{Browser, EngineBuilder};
+    use doppio_jsengine::{Browser, EngineBuilder, ObservabilityOptions};
     use doppio_trace::Profiler;
 
     fn sample_engine() -> Engine {
         let e = EngineBuilder::new(Browser::Chrome)
             .histograms(true)
-            .profiler(Profiler::new(1_000))
+            .observability(ObservabilityOptions::new().profiler(Profiler::new(1_000)))
             .build();
         for _ in 0..5 {
             e.send_message(|eng| eng.advance_ns(10_000));

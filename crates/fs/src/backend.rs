@@ -10,6 +10,12 @@
 //! operations, so "a file system needs to implement just nine methods"
 //! to get full read/write functionality with NFS-style sync-on-close
 //! semantics.
+//!
+//! Every storage mechanism shares one implementation of those methods:
+//! [`BlobBackend`](crate::backends::BlobBackend) runs them over this
+//! module's [`DirIndex`] and asks a
+//! [`BlobStore`](crate::backends::BlobStore) only to move whole blobs.
+//! The mountable and fault-injecting backends wrap other backends.
 
 use doppio_jsengine::Engine;
 

@@ -1,10 +1,12 @@
-//! The generic blob-store backend and its four concrete stores.
+//! The one backend core, its store trait, and the in-process stores.
 //!
 //! §5.1's utility classes make writing a backend cheap: the directory
 //! index, the load-whole-file/sync-on-close file model, and the Buffer
-//! string bridge are shared. [`BlobBackend`] packages those utilities
-//! around a [`BlobStore`] — the only part each storage mechanism has to
-//! provide. The paper's five backends map to:
+//! string bridge are shared. [`BlobBackend`] holds those utilities once:
+//! the ten file operations over a [`DirIndex`] plus the sizes and mtimes
+//! it knows, around a [`BlobStore`], the only part each storage
+//! mechanism provides. A store moves whole blobs by key and answers
+//! each call through a callback. The paper's backends map to:
 //!
 //! * [`MemoryStore`] — "temporary in-memory storage"
 //! * [`LocalStorageStore`] — browser-local persistent storage, going
@@ -15,22 +17,63 @@
 //! * [`DropboxStore`] — "access to Dropbox cloud storage", with
 //!   round-trip latency
 //!
-//! (The fifth, the mountable file system, composes backends and lives
-//! in [`mount`](crate::backends::mount).)
+//! and `doppio-storage`'s `StorageClient`, a session on a replicated
+//! cluster, is one more store. (The mountable file system composes
+//! backends and lives in [`mount`](crate::backends::mount).)
+//!
+//! # When an answer is delivered
+//!
+//! The four in-process stores answer *inline*: their callback runs
+//! before the store call returns. A replicated client answers from a
+//! later event. The core tells the two apart by whether a callback runs
+//! while the call that issued it is still on the stack, and applies one
+//! rule to every operation:
+//!
+//! * if every store answer arrived inline, or the operation needed no
+//!   store call, the result is delivered through the event loop once,
+//!   after the store's latency `op_latency_ns + ns_per_kib ×
+//!   ⌈payload / 1 KiB⌉`. The payload is the data `open` returns or
+//!   `sync` writes, and 0 otherwise;
+//! * once a store answer has crossed the event loop, the result is
+//!   handed on as soon as the last answer arrives, with no extra hop.
+//!
+//! `close` always completes after 1 µs.
+//!
+//! # Order of updates
+//!
+//! A write records the file's index entry, size and mtime before its
+//! put is issued, so operations behind a remote put see them. When the
+//! put answered inline, the mtime is taken again, after the store has
+//! charged its cost. When the put fails, the write is undone: the entry
+//! goes if the put was creating it, and the old size and mtime come
+//! back otherwise. Every mutation that succeeds ends by persisting the
+//! index ([`BlobStore::persist_index`]) on a store that keeps it. No
+//! borrow of the core's state
+//! is held across a store call, because an inline answer re-enters the
+//! core.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 use doppio_buffer::{Buffer, Encoding};
-use doppio_jsengine::storage::SyncMechanism;
-use doppio_jsengine::{Cost, Engine, EngineError};
+use doppio_jsengine::storage::{KvStore, SyncMechanism};
+use doppio_jsengine::{Cost, Engine, EngineError, EngineResult};
 
 use crate::backend::{deliver, Backend, DirIndex, FileKind, FsCallback, OpenFlags, Stat};
-use crate::backends::replicated::INDEX_KEY;
 use crate::error::{Errno, FsError, FsResult};
 
+/// Key under which a store that keeps the directory index among its
+/// blobs persists it (NUL-prefixed so it can never collide with a
+/// path).
+pub const INDEX_KEY: &str = "\u{0}index";
+
 /// The storage mechanism under a [`BlobBackend`]: where file contents
-/// live and what moving them costs.
+/// live, what moving them costs, and how answers come back.
+///
+/// A store may call `cb` before the call returns (inline) or from a
+/// later event; either way it must release any borrow of its own state
+/// first, because the core may issue the next call from inside `cb`.
 pub trait BlobStore {
     /// Name for diagnostics.
     fn name(&self) -> &'static str;
@@ -40,193 +83,446 @@ pub trait BlobStore {
         false
     }
 
-    /// Fixed virtual latency per operation.
+    /// Fixed virtual latency of an answer the core delivers (see the
+    /// module doc).
     fn op_latency_ns(&self) -> u64;
 
-    /// Additional virtual latency per KiB transferred (bandwidth).
+    /// Additional virtual latency per KiB of payload (bandwidth).
     fn ns_per_kib(&self) -> u64 {
         0
     }
 
-    /// Fetch the blob at `key`.
-    fn get(&mut self, engine: &Engine, key: &str) -> FsResult<Option<Vec<u8>>>;
+    /// Fetch the blob at `key` (`Ok(None)` if absent).
+    fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>);
 
     /// Store the blob at `key`.
-    fn put(&mut self, engine: &Engine, key: &str, data: &[u8]) -> FsResult<()>;
+    fn put(&self, engine: &Engine, key: &str, data: Vec<u8>, cb: FsCallback<()>);
 
     /// Remove the blob at `key` (missing is fine).
-    fn delete(&mut self, engine: &Engine, key: &str) -> FsResult<()>;
+    fn delete(&self, engine: &Engine, key: &str, cb: FsCallback<()>);
 
-    /// Persist the directory index after a successful mutation (no-op
-    /// for stores whose structure is not durable). Stores that keep the
-    /// index serialize it here, so the others never pay for it.
-    fn persist_index(&mut self, _engine: &Engine, _index: &DirIndex) -> FsResult<()> {
-        Ok(())
+    /// Load the persisted directory index (`Ok(None)` if there is
+    /// none). By default it is the blob under [`INDEX_KEY`].
+    fn load_index(&self, engine: &Engine, cb: FsCallback<Option<DirIndex>>) {
+        self.get(
+            engine,
+            INDEX_KEY,
+            Box::new(move |e, r| {
+                let index = |b: Vec<u8>| DirIndex::deserialize(&String::from_utf8_lossy(&b));
+                cb(e, r.map(|blob| blob.map(index)));
+            }),
+        );
     }
 
-    /// Load a previously persisted index, if one exists.
-    fn load_index(&mut self, _engine: &Engine) -> Option<String> {
-        None
+    /// Whether the directory tree outlives this backend, so the core
+    /// persists the index after every successful mutation. A store
+    /// that answers `false` never pays for serializing it.
+    fn keeps_index(&self) -> bool {
+        true
+    }
+
+    /// Persist `image`, the serialized directory index. By default it
+    /// becomes the blob under [`INDEX_KEY`].
+    fn persist_index(&self, engine: &Engine, image: String, cb: FsCallback<()>) {
+        self.put(engine, INDEX_KEY, image.into_bytes(), cb);
     }
 }
 
-struct BlobState<S> {
-    store: S,
+/// The tree as the core knows it.
+#[derive(Default)]
+struct Tree {
     index: DirIndex,
+    /// File sizes known without a fetch.
     sizes: HashMap<String, usize>,
     mtimes: HashMap<String, u64>,
 }
 
-/// A full [`Backend`] implementation over any [`BlobStore`].
-pub struct BlobBackend<S: BlobStore> {
-    state: RefCell<BlobState<S>>,
+/// What a write replaced, to put back if its put fails.
+struct Undo {
+    created: bool,
+    size: Option<usize>,
+    mtime: Option<u64>,
 }
 
-impl<S: BlobStore> BlobBackend<S> {
-    /// Wrap a store, restoring its persisted index if it has one.
-    pub fn new(engine: &Engine, mut store: S) -> BlobBackend<S> {
-        let index = match store.load_index(engine) {
-            Some(s) => DirIndex::deserialize(&s),
-            None => DirIndex::new(),
-        };
-        // Restore sizes lazily: stat() falls back to a get().
-        BlobBackend {
-            state: RefCell::new(BlobState {
-                store,
-                index,
-                sizes: HashMap::new(),
-                mtimes: HashMap::new(),
+fn restore<V>(map: &mut HashMap<String, V>, key: &str, old: Option<V>) {
+    match old {
+        Some(v) => map.insert(key.to_string(), v),
+        None => map.remove(key),
+    };
+}
+
+impl Tree {
+    /// Record a whole-file write of `len` bytes at `now`, ahead of its put.
+    fn record_write(&mut self, path: &str, len: usize, now: u64) -> FsResult<Undo> {
+        let created = !self.index.contains(path);
+        if created {
+            self.index.insert_file(path)?;
+        }
+        Ok(Undo {
+            created,
+            size: self.sizes.insert(path.to_string(), len),
+            mtime: self.mtimes.insert(path.to_string(), now),
+        })
+    }
+
+    fn undo(&mut self, path: &str, undo: Undo) {
+        if undo.created {
+            let _ = self.index.remove_file(path);
+        }
+        restore(&mut self.sizes, path, undo.size);
+        restore(&mut self.mtimes, path, undo.mtime);
+    }
+
+    /// Rename in the index, carrying each moved file's size and mtime.
+    fn rename(&mut self, from: &str, to: &str) -> FsResult<Vec<(String, String)>> {
+        let moved = self.index.rename(from, to)?;
+        for (old, new) in &moved {
+            if let Some(s) = self.sizes.remove(old) {
+                self.sizes.insert(new.clone(), s);
+            }
+            if let Some(t) = self.mtimes.remove(old) {
+                self.mtimes.insert(new.clone(), t);
+            }
+        }
+        Ok(moved)
+    }
+}
+
+/// A rename's blob moves still to do, shared by its loop and its store
+/// callbacks.
+struct Moves {
+    left: std::vec::IntoIter<(String, String)>,
+    cb: Option<FsCallback<()>>,
+    crossed: bool,
+    /// The loop is on the stack: a move that finishes inline hands
+    /// control back to it (through `resume`) instead of recursing.
+    looping: bool,
+    resume: bool,
+}
+
+struct Core<S> {
+    store: S,
+    tree: RefCell<Tree>,
+    /// Set while a store call is being issued: a callback that finds it
+    /// set is answering inline.
+    issuing: Cell<bool>,
+}
+
+impl<S: BlobStore + 'static> Core<S> {
+    /// Issue one store call. `then` gets the answer and whether the
+    /// operation has crossed the event loop by now.
+    fn call<T: 'static>(
+        self: &Rc<Self>,
+        crossed: bool,
+        issue: impl FnOnce(&S, FsCallback<T>),
+        then: impl FnOnce(&Rc<Self>, &Engine, bool, FsResult<T>) + 'static,
+    ) {
+        let core = Rc::clone(self);
+        let outer = self.issuing.replace(true);
+        issue(
+            &self.store,
+            Box::new(move |e, r| {
+                let crossed = crossed || !core.issuing.get();
+                then(&core, e, crossed, r);
             }),
+        );
+        self.issuing.set(outer);
+    }
+
+    /// Deliver `result` to `cb` under the completion rule.
+    fn answer<T: 'static>(
+        &self,
+        engine: &Engine,
+        crossed: bool,
+        payload: usize,
+        cb: FsCallback<T>,
+        result: FsResult<T>,
+    ) {
+        if crossed {
+            cb(engine, result);
+        } else {
+            let kib = (payload as u64).div_ceil(1024);
+            let latency = self.store.op_latency_ns() + self.store.ns_per_kib() * kib;
+            deliver(engine, latency, cb, result);
         }
     }
 
-    /// Pre-populate with an index built elsewhere (the server-backed
-    /// store derives its listing from the web server).
-    pub fn with_index(engine: &Engine, store: S, index: DirIndex) -> BlobBackend<S> {
-        let b = BlobBackend::new(engine, store);
-        b.state.borrow_mut().index = index;
-        b
+    /// Finish a mutation: persist the index if it succeeded and the
+    /// store keeps it, then answer.
+    fn settle<T: 'static>(
+        self: &Rc<Self>,
+        engine: &Engine,
+        crossed: bool,
+        payload: usize,
+        cb: FsCallback<T>,
+        result: FsResult<T>,
+    ) {
+        let value = match result {
+            Ok(value) if self.store.keeps_index() => value,
+            done => return self.answer(engine, crossed, payload, cb, done),
+        };
+        let image = self.tree.borrow().index.serialize();
+        self.call(
+            crossed,
+            |s, k| s.persist_index(engine, image, k),
+            move |core, e, crossed, r| core.answer(e, crossed, payload, cb, r.map(|()| value)),
+        );
     }
 
-    fn latency(&self, bytes: usize) -> u64 {
-        let st = self.state.borrow();
-        st.store.op_latency_ns() + st.store.ns_per_kib() * (bytes as u64).div_ceil(1024)
-    }
-
-    fn persist(&self, engine: &Engine) -> FsResult<()> {
-        let st = &mut *self.state.borrow_mut();
-        st.store.persist_index(engine, &st.index)
-    }
-
-    fn write_guard(&self, path: &str) -> FsResult<()> {
-        if self.state.borrow().store.is_read_only() {
+    fn read_only_guard(&self, path: &str) -> FsResult<()> {
+        if self.store.is_read_only() {
             Err(FsError::new(Errno::Erofs, path))
         } else {
             Ok(())
         }
     }
+
+    /// Store `data` as the whole of `path` (`sync`, and `open`'s
+    /// create), answering `value` on success.
+    fn write<T: 'static>(
+        self: &Rc<Self>,
+        engine: &Engine,
+        path: &str,
+        data: Vec<u8>,
+        payload: usize,
+        cb: FsCallback<T>,
+        value: T,
+    ) {
+        let recorded = self
+            .tree
+            .borrow_mut()
+            .record_write(path, data.len(), engine.now_ns());
+        let undo = match recorded {
+            Ok(undo) => undo,
+            Err(err) => return self.answer(engine, false, payload, cb, Err(err)),
+        };
+        let owned = path.to_string();
+        self.call(
+            false,
+            |s, k| s.put(engine, path, data, k),
+            move |core, e, crossed, r| {
+                match &r {
+                    // An inline put has charged its cost by now.
+                    Ok(()) if !crossed => {
+                        core.tree.borrow_mut().mtimes.insert(owned, e.now_ns());
+                    }
+                    Ok(()) => {}
+                    Err(_) => core.tree.borrow_mut().undo(&owned, undo),
+                }
+                core.settle(e, crossed, payload, cb, r.map(|()| value));
+            },
+        );
+    }
+
+    /// Move one renamed file's blob: get, put, delete.
+    fn move_blob(
+        self: &Rc<Self>,
+        engine: &Engine,
+        crossed: bool,
+        (old, new): (String, String),
+        done: impl FnOnce(&Rc<Self>, &Engine, bool, FsResult<()>) + 'static,
+    ) {
+        let key = old.clone();
+        self.call(
+            crossed,
+            move |s, k| s.get(engine, &key, k),
+            move |core, e, crossed, r| match r {
+                Ok(Some(data)) => core.call(
+                    crossed,
+                    |s, k| s.put(e, &new, data, k),
+                    move |core, e, crossed, r| match r {
+                        Ok(()) => core.call(crossed, |s, k| s.delete(e, &old, k), done),
+                        Err(err) => done(core, e, crossed, Err(err)),
+                    },
+                ),
+                Ok(None) => done(core, e, crossed, Ok(())),
+                Err(err) => done(core, e, crossed, Err(err)),
+            },
+        );
+    }
+
+    /// Move every renamed blob in order, then persist and answer. Moves
+    /// that finish inline continue this loop, so renaming a large
+    /// subtree on an in-process store does not deepen the stack.
+    fn move_blobs(self: &Rc<Self>, engine: &Engine, moves: Rc<RefCell<Moves>>) {
+        moves.borrow_mut().looping = true;
+        loop {
+            let (next, crossed) = {
+                let m = &mut *moves.borrow_mut();
+                (m.left.next(), m.crossed)
+            };
+            let Some(pair) = next else {
+                if let Some(cb) = moves.borrow_mut().cb.take() {
+                    self.settle(engine, crossed, 0, cb, Ok(()));
+                }
+                return;
+            };
+            let m = moves.clone();
+            self.move_blob(engine, crossed, pair, move |core, e, crossed, r| {
+                let mut st = m.borrow_mut();
+                st.crossed = crossed;
+                match r {
+                    Err(err) => {
+                        let cb = st.cb.take();
+                        drop(st);
+                        if let Some(cb) = cb {
+                            core.answer(e, crossed, 0, cb, Err(err));
+                        }
+                    }
+                    Ok(()) if st.looping => st.resume = true,
+                    Ok(()) => {
+                        drop(st);
+                        core.move_blobs(e, m);
+                    }
+                }
+            });
+            let mut st = moves.borrow_mut();
+            if !std::mem::take(&mut st.resume) {
+                st.looping = false;
+                return;
+            }
+        }
+    }
 }
 
-impl<S: BlobStore> Backend for BlobBackend<S> {
+/// A full [`Backend`] over any [`BlobStore`].
+pub struct BlobBackend<S: BlobStore + 'static> {
+    core: Rc<Core<S>>,
+}
+
+impl<S: BlobStore + 'static> BlobBackend<S> {
+    /// A backend over `store` holding only the root directory;
+    /// [`hydrate`](Self::hydrate) loads a persisted tree.
+    pub fn empty(store: S) -> BlobBackend<S> {
+        BlobBackend {
+            core: Rc::new(Core {
+                store,
+                tree: RefCell::default(),
+                issuing: Cell::new(false),
+            }),
+        }
+    }
+
+    /// A backend over `store` that restores the tree the store
+    /// persisted. An in-process store restores it before this returns.
+    pub fn new(engine: &Engine, store: S) -> BlobBackend<S> {
+        let backend = BlobBackend::empty(store);
+        backend.hydrate(engine, Box::new(|_, _| {}));
+        backend
+    }
+
+    /// Load the persisted directory index from the store (for example
+    /// a client attaching to a cluster that already holds data). The
+    /// store's answer is handed on as it arrives, inline for an
+    /// in-process store. Completes with `Ok` when no index was ever
+    /// persisted (the tree stays as it is).
+    pub fn hydrate(&self, engine: &Engine, cb: FsCallback<()>) {
+        let core = self.core.clone();
+        self.core.store.load_index(
+            engine,
+            Box::new(move |e, r| {
+                let r = r.map(|index| {
+                    if let Some(index) = index {
+                        core.tree.borrow_mut().index = index;
+                    }
+                });
+                cb(e, r);
+            }),
+        );
+    }
+}
+
+impl<S: BlobStore + 'static> Backend for BlobBackend<S> {
     fn name(&self) -> &'static str {
-        self.state.borrow().store.name()
+        self.core.store.name()
     }
 
     fn is_read_only(&self) -> bool {
-        self.state.borrow().store.is_read_only()
+        self.core.store.is_read_only()
     }
 
     fn stat(&self, engine: &Engine, path: &str, cb: FsCallback<Stat>) {
-        let result = (|| {
-            let mut st = self.state.borrow_mut();
-            match st.index.kind(path) {
-                None => Err(FsError::new(Errno::Enoent, path)),
-                Some(FileKind::Directory) => Ok(Stat {
-                    kind: FileKind::Directory,
-                    size: 0,
-                    mtime_ns: st.mtimes.get(path).copied().unwrap_or(0),
-                }),
-                Some(FileKind::File) => {
-                    let size = match st.sizes.get(path) {
-                        Some(&s) => s,
-                        None => {
-                            let data = st.store.get(engine, path)?.unwrap_or_default();
-                            let s = data.len();
-                            st.sizes.insert(path.to_string(), s);
-                            s
-                        }
-                    };
-                    Ok(Stat {
-                        kind: FileKind::File,
-                        size,
-                        mtime_ns: st.mtimes.get(path).copied().unwrap_or(0),
-                    })
-                }
+        let core = &self.core;
+        let (kind, size, mtime_ns) = {
+            let t = core.tree.borrow();
+            let mtime_ns = t.mtimes.get(path).copied().unwrap_or(0);
+            (t.index.kind(path), t.sizes.get(path).copied(), mtime_ns)
+        };
+        let stat = move |kind, size| Stat {
+            kind,
+            size,
+            mtime_ns,
+        };
+        let known = match (kind, size) {
+            (None, _) => Err(FsError::new(Errno::Enoent, path)),
+            (Some(FileKind::Directory), _) => Ok(stat(FileKind::Directory, 0)),
+            (Some(FileKind::File), Some(size)) => Ok(stat(FileKind::File, size)),
+            (Some(FileKind::File), None) => {
+                // Size unknown (a restored index): fetch the blob.
+                let key = path.to_string();
+                return core.call(
+                    false,
+                    |s, k| s.get(engine, path, k),
+                    move |core, e, crossed, r| {
+                        let r = r.map(|data| {
+                            let size = data.map_or(0, |d| d.len());
+                            core.tree.borrow_mut().sizes.insert(key, size);
+                            stat(FileKind::File, size)
+                        });
+                        core.answer(e, crossed, 0, cb, r);
+                    },
+                );
             }
-        })();
-        deliver(engine, self.latency(0), cb, result);
+        };
+        core.answer(engine, false, 0, cb, known);
     }
 
     fn open(&self, engine: &Engine, path: &str, flags: OpenFlags, cb: FsCallback<Vec<u8>>) {
-        let result = (|| {
-            let mut st = self.state.borrow_mut();
-            match st.index.kind(path) {
-                Some(FileKind::Directory) => Err(FsError::new(Errno::Eisdir, path)),
-                Some(FileKind::File) => {
-                    if flags.exclusive {
-                        return Err(FsError::new(Errno::Eexist, path));
-                    }
-                    if flags.truncate {
-                        if st.store.is_read_only() {
-                            return Err(FsError::new(Errno::Erofs, path));
-                        }
-                        st.sizes.insert(path.to_string(), 0);
-                        Ok(Vec::new())
-                    } else {
-                        let data = st
-                            .store
-                            .get(engine, path)?
-                            .ok_or_else(|| FsError::new(Errno::Eio, path))?;
-                        st.sizes.insert(path.to_string(), data.len());
-                        Ok(data)
-                    }
-                }
-                None => {
-                    if !flags.create {
-                        return Err(FsError::new(Errno::Enoent, path));
-                    }
-                    if st.store.is_read_only() {
-                        return Err(FsError::new(Errno::Erofs, path));
-                    }
-                    st.index.insert_file(path)?;
-                    st.store.put(engine, path, &[])?;
-                    st.sizes.insert(path.to_string(), 0);
-                    st.mtimes.insert(path.to_string(), engine.now_ns());
-                    drop(st);
-                    self.persist(engine)?;
-                    Ok(Vec::new())
-                }
+        let core = &self.core;
+        let kind = core.tree.borrow().index.kind(path);
+        let local = match kind {
+            Some(FileKind::Directory) => Err(FsError::new(Errno::Eisdir, path)),
+            Some(FileKind::File) if flags.exclusive => Err(FsError::new(Errno::Eexist, path)),
+            // Truncation is recorded locally; the empty image lands at
+            // sync time.
+            Some(FileKind::File) if flags.truncate => core.read_only_guard(path).map(|()| {
+                core.tree.borrow_mut().sizes.insert(path.to_string(), 0);
+                Vec::new()
+            }),
+            Some(FileKind::File) => {
+                let key = path.to_string();
+                return core.call(
+                    false,
+                    |s, k| s.get(engine, path, k),
+                    move |core, e, crossed, r| {
+                        let r = match r {
+                            Ok(Some(data)) => {
+                                core.tree.borrow_mut().sizes.insert(key, data.len());
+                                Ok(data)
+                            }
+                            Ok(None) => Err(FsError::new(Errno::Eio, key)),
+                            Err(err) => Err(err),
+                        };
+                        let payload = r.as_ref().map_or(0, Vec::len);
+                        core.answer(e, crossed, payload, cb, r);
+                    },
+                );
             }
-        })();
-        let bytes = result.as_ref().map(Vec::len).unwrap_or(0);
-        deliver(engine, self.latency(bytes), cb, result);
+            None if !flags.create => Err(FsError::new(Errno::Enoent, path)),
+            None => match core.read_only_guard(path) {
+                Err(err) => Err(err),
+                Ok(()) => return core.write(engine, path, Vec::new(), 0, cb, Vec::new()),
+            },
+        };
+        core.answer(engine, false, 0, cb, local);
     }
 
     fn sync(&self, engine: &Engine, path: &str, data: Vec<u8>, cb: FsCallback<()>) {
-        let bytes = data.len();
-        let result = (|| {
-            self.write_guard(path)?;
-            let mut st = self.state.borrow_mut();
-            if !st.index.contains(path) {
-                st.index.insert_file(path)?;
-            }
-            st.store.put(engine, path, &data)?;
-            st.sizes.insert(path.to_string(), data.len());
-            st.mtimes.insert(path.to_string(), engine.now_ns());
-            Ok(())
-        })()
-        .and_then(|_| self.persist(engine));
-        deliver(engine, self.latency(bytes), cb, result);
+        let payload = data.len();
+        match self.core.read_only_guard(path) {
+            Err(err) => self.core.answer(engine, false, payload, cb, Err(err)),
+            Ok(()) => self.core.write(engine, path, data, payload, cb, ()),
+        }
     }
 
     fn close(&self, engine: &Engine, _path: &str, cb: FsCallback<()>) {
@@ -234,92 +530,108 @@ impl<S: BlobStore> Backend for BlobBackend<S> {
     }
 
     fn rename(&self, engine: &Engine, from: &str, to: &str, cb: FsCallback<()>) {
-        let result = (|| {
-            self.write_guard(from)?;
-            let mut st = self.state.borrow_mut();
-            let moved = st.index.rename(from, to)?;
-            for (old, new) in moved {
-                if let Some(data) = st.store.get(engine, &old)? {
-                    st.store.put(engine, &new, &data)?;
-                    st.store.delete(engine, &old)?;
-                }
-                if let Some(s) = st.sizes.remove(&old) {
-                    st.sizes.insert(new.clone(), s);
-                }
-                if let Some(t) = st.mtimes.remove(&old) {
-                    st.mtimes.insert(new, t);
-                }
+        let core = &self.core;
+        let moved = core
+            .read_only_guard(from)
+            .and_then(|()| core.tree.borrow_mut().rename(from, to));
+        match moved {
+            Err(err) => core.answer(engine, false, 0, cb, Err(err)),
+            Ok(moved) => {
+                let moves = Moves {
+                    left: moved.into_iter(),
+                    cb: Some(cb),
+                    crossed: false,
+                    looping: false,
+                    resume: false,
+                };
+                core.move_blobs(engine, Rc::new(RefCell::new(moves)));
             }
-            Ok(())
-        })()
-        .and_then(|_| self.persist(engine));
-        deliver(engine, self.latency(0), cb, result);
+        }
     }
 
     fn unlink(&self, engine: &Engine, path: &str, cb: FsCallback<()>) {
-        let result = (|| {
-            self.write_guard(path)?;
-            let mut st = self.state.borrow_mut();
-            st.index.remove_file(path)?;
-            st.store.delete(engine, path)?;
-            st.sizes.remove(path);
-            st.mtimes.remove(path);
+        let core = &self.core;
+        let removed = core.read_only_guard(path).and_then(|()| {
+            let t = &mut *core.tree.borrow_mut();
+            t.index.remove_file(path)?;
+            t.sizes.remove(path);
+            t.mtimes.remove(path);
             Ok(())
-        })()
-        .and_then(|_| self.persist(engine));
-        deliver(engine, self.latency(0), cb, result);
+        });
+        match removed {
+            Err(err) => core.answer(engine, false, 0, cb, Err(err)),
+            Ok(()) => core.call(
+                false,
+                |s, k| s.delete(engine, path, k),
+                move |core, e, crossed, r| core.settle(e, crossed, 0, cb, r),
+            ),
+        }
     }
 
     fn mkdir(&self, engine: &Engine, path: &str, cb: FsCallback<()>) {
-        let result = (|| {
-            self.write_guard(path)?;
-            let mut st = self.state.borrow_mut();
-            st.index.insert_dir(path)?;
-            st.mtimes.insert(path.to_string(), engine.now_ns());
+        let core = &self.core;
+        let made = core.read_only_guard(path).and_then(|()| {
+            let t = &mut *core.tree.borrow_mut();
+            t.index.insert_dir(path)?;
+            t.mtimes.insert(path.to_string(), engine.now_ns());
             Ok(())
-        })()
-        .and_then(|_| self.persist(engine));
-        deliver(engine, self.latency(0), cb, result);
+        });
+        core.settle(engine, false, 0, cb, made);
     }
 
     fn rmdir(&self, engine: &Engine, path: &str, cb: FsCallback<()>) {
-        let result = (|| {
-            self.write_guard(path)?;
-            let mut st = self.state.borrow_mut();
-            st.index.remove_dir(path)?;
-            st.mtimes.remove(path);
+        let core = &self.core;
+        let removed = core.read_only_guard(path).and_then(|()| {
+            let t = &mut *core.tree.borrow_mut();
+            t.index.remove_dir(path)?;
+            t.mtimes.remove(path);
             Ok(())
-        })()
-        .and_then(|_| self.persist(engine));
-        deliver(engine, self.latency(0), cb, result);
+        });
+        core.settle(engine, false, 0, cb, removed);
     }
 
     fn readdir(&self, engine: &Engine, path: &str, cb: FsCallback<Vec<String>>) {
-        let result = self.state.borrow().index.list(path);
-        deliver(engine, self.latency(0), cb, result);
+        let names = self.core.tree.borrow().index.list(path);
+        self.core.answer(engine, false, 0, cb, names);
     }
 
     fn utimes(&self, engine: &Engine, path: &str, mtime_ns: u64, cb: FsCallback<()>) {
-        let result = (|| {
-            let mut st = self.state.borrow_mut();
-            if !st.index.contains(path) {
-                return Err(FsError::new(Errno::Enoent, path));
+        let touched = {
+            let t = &mut *self.core.tree.borrow_mut();
+            if t.index.contains(path) {
+                t.mtimes.insert(path.to_string(), mtime_ns);
+                Ok(())
+            } else {
+                Err(FsError::new(Errno::Enoent, path))
             }
-            st.mtimes.insert(path.to_string(), mtime_ns);
-            Ok(())
-        })();
-        deliver(engine, self.latency(0), cb, result);
+        };
+        self.core.answer(engine, false, 0, cb, touched);
     }
 }
 
 // ----------------------------------------------------------------
-// Concrete stores
+// In-process stores: each answers inline
 // ----------------------------------------------------------------
+
+/// Charge reading `len` bytes into a buffer. The read buffer is a typed
+/// array (§7.1: "DOPPIO's file system implementation makes heavy use of
+/// typed arrays"), or a plain array on browsers without them; on Safari
+/// the matching free is ignored and the buffer stays resident — the
+/// leak behind javap's pathology.
+fn charge_read(engine: &Engine, len: usize) {
+    if engine.profile().has_typed_arrays {
+        engine.typed_array_alloc(len);
+        engine.typed_array_free(len);
+        engine.charge_n(Cost::TypedArrayByte, len as u64);
+    } else {
+        engine.charge_n(Cost::JsArrayByte, len as u64);
+    }
+}
 
 /// Temporary in-memory storage: fast, lost on reload.
 #[derive(Debug, Default)]
 pub struct MemoryStore {
-    blobs: HashMap<String, Vec<u8>>,
+    blobs: RefCell<HashMap<String, Vec<u8>>>,
 }
 
 impl MemoryStore {
@@ -338,33 +650,28 @@ impl BlobStore for MemoryStore {
         1_200
     }
 
-    fn get(&mut self, engine: &Engine, key: &str) -> FsResult<Option<Vec<u8>>> {
-        let data = self.blobs.get(key).cloned();
+    fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {
+        let data = self.blobs.borrow().get(key).cloned();
         if let Some(d) = &data {
-            // The read buffer is a typed array (§7.1: "DOPPIO's file
-            // system implementation makes heavy use of typed arrays");
-            // on Safari the matching free is ignored and the buffer
-            // stays resident — the leak behind javap's pathology.
-            if engine.profile().has_typed_arrays {
-                engine.typed_array_alloc(d.len());
-                engine.typed_array_free(d.len());
-                engine.charge_n(Cost::TypedArrayByte, d.len() as u64);
-            } else {
-                engine.charge_n(Cost::JsArrayByte, d.len() as u64);
-            }
+            charge_read(engine, d.len());
         }
-        Ok(data)
+        cb(engine, Ok(data));
     }
 
-    fn put(&mut self, engine: &Engine, key: &str, data: &[u8]) -> FsResult<()> {
+    fn put(&self, engine: &Engine, key: &str, data: Vec<u8>, cb: FsCallback<()>) {
         engine.charge_n(Cost::TypedArrayByte, data.len() as u64);
-        self.blobs.insert(key.to_string(), data.to_vec());
-        Ok(())
+        self.blobs.borrow_mut().insert(key.to_string(), data);
+        cb(engine, Ok(()));
     }
 
-    fn delete(&mut self, _engine: &Engine, key: &str) -> FsResult<()> {
-        self.blobs.remove(key);
-        Ok(())
+    fn delete(&self, engine: &Engine, key: &str, cb: FsCallback<()>) {
+        self.blobs.borrow_mut().remove(key);
+        cb(engine, Ok(()));
+    }
+
+    /// Nothing here survives a reload.
+    fn keeps_index(&self) -> bool {
+        false
     }
 }
 
@@ -376,6 +683,8 @@ pub struct LocalStorageStore {
     _priv: (),
 }
 
+const LS_INDEX_KEY: &str = "doppio-fs-index";
+
 impl LocalStorageStore {
     /// A store over the engine's localStorage.
     pub fn new() -> LocalStorageStore {
@@ -385,9 +694,41 @@ impl LocalStorageStore {
     fn key(path: &str) -> String {
         format!("doppio-file:{path}")
     }
-}
 
-const LS_INDEX_KEY: &str = "doppio-fs-index";
+    /// Run `f` on the engine's localStorage, mapping its errors for `key`.
+    fn with<R>(
+        engine: &Engine,
+        key: &str,
+        f: impl FnOnce(&mut KvStore, &'static str) -> EngineResult<R>,
+    ) -> FsResult<R> {
+        let browser = engine.profile().browser.name();
+        engine
+            .with_storage(|s, _| f(s.sync_store(SyncMechanism::LocalStorage), browser))
+            .map_err(|e| {
+                let errno = match e {
+                    EngineError::QuotaExceeded { .. } => Errno::Enospc,
+                    _ => Errno::Eio,
+                };
+                FsError::new(errno, key).with_detail(e.to_string())
+            })
+    }
+
+    fn read(engine: &Engine, key: &str) -> FsResult<Option<Vec<u8>>> {
+        let Some(js) = Self::with(engine, key, |s, b| s.get_item_js(b, &Self::key(key)))? else {
+            return Ok(None);
+        };
+        let buf = Buffer::from_js_string(engine, Encoding::BinaryString, &js)
+            .map_err(|e| FsError::new(Errno::Eio, key).with_detail(e.to_string()))?;
+        Ok(Some(buf.as_slice().to_vec()))
+    }
+
+    fn write(engine: &Engine, key: &str, data: &[u8]) -> FsResult<()> {
+        let js = Buffer::from_slice(engine, data)
+            .to_js_string_full(Encoding::BinaryString)
+            .map_err(|e| FsError::new(Errno::Eio, key).with_detail(e.to_string()))?;
+        Self::with(engine, key, |s, b| s.set_item_js(b, &Self::key(key), js))
+    }
+}
 
 impl BlobStore for LocalStorageStore {
     fn name(&self) -> &'static str {
@@ -398,79 +739,31 @@ impl BlobStore for LocalStorageStore {
         25_000
     }
 
-    fn get(&mut self, engine: &Engine, key: &str) -> FsResult<Option<Vec<u8>>> {
-        let browser = engine.profile().browser.name();
-        let js = engine
-            .with_storage(|s, _| {
-                s.sync_store(SyncMechanism::LocalStorage)
-                    .get_item_js(browser, &Self::key(key))
-            })
-            .map_err(|e| FsError::new(Errno::Eio, key).with_detail(e.to_string()))?;
-        match js {
-            None => Ok(None),
-            Some(js) => {
-                let buf = Buffer::from_js_string(engine, Encoding::BinaryString, &js)
-                    .map_err(|e| FsError::new(Errno::Eio, key).with_detail(e.to_string()))?;
-                Ok(Some(buf.as_slice().to_vec()))
-            }
-        }
+    fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {
+        cb(engine, Self::read(engine, key));
     }
 
-    fn put(&mut self, engine: &Engine, key: &str, data: &[u8]) -> FsResult<()> {
-        let browser = engine.profile().browser.name();
-        let js = Buffer::from_slice(engine, data)
-            .to_js_string_full(Encoding::BinaryString)
-            .map_err(|e| FsError::new(Errno::Eio, key).with_detail(e.to_string()))?;
-        engine
-            .with_storage(|s, _| {
-                s.sync_store(SyncMechanism::LocalStorage)
-                    .set_item_js(browser, &Self::key(key), js)
-            })
-            .map_err(|e| match e {
-                EngineError::QuotaExceeded { .. } => {
-                    FsError::new(Errno::Enospc, key).with_detail(e.to_string())
-                }
-                other => FsError::new(Errno::Eio, key).with_detail(other.to_string()),
-            })
+    fn put(&self, engine: &Engine, key: &str, data: Vec<u8>, cb: FsCallback<()>) {
+        cb(engine, Self::write(engine, key, &data));
     }
 
-    fn delete(&mut self, engine: &Engine, key: &str) -> FsResult<()> {
-        let browser = engine.profile().browser.name();
-        engine
-            .with_storage(|s, _| {
-                s.sync_store(SyncMechanism::LocalStorage)
-                    .remove_item(browser, &Self::key(key))
-            })
-            .map_err(|e| FsError::new(Errno::Eio, key).with_detail(e.to_string()))
+    fn delete(&self, engine: &Engine, key: &str, cb: FsCallback<()>) {
+        let removed = Self::with(engine, key, |s, b| s.remove_item(b, &Self::key(key)));
+        cb(engine, removed);
     }
 
-    fn persist_index(&mut self, engine: &Engine, index: &DirIndex) -> FsResult<()> {
-        let browser = engine.profile().browser.name();
-        engine
-            .with_storage(|s, _| {
-                s.sync_store(SyncMechanism::LocalStorage).set_item(
-                    browser,
-                    LS_INDEX_KEY,
-                    &index.serialize(),
-                )
-            })
-            .map_err(|e| match e {
-                EngineError::QuotaExceeded { .. } => {
-                    FsError::new(Errno::Enospc, LS_INDEX_KEY).with_detail(e.to_string())
-                }
-                other => FsError::new(Errno::Eio, LS_INDEX_KEY).with_detail(other.to_string()),
-            })
+    /// The index lives under its own key, as plain text.
+    fn load_index(&self, engine: &Engine, cb: FsCallback<Option<DirIndex>>) {
+        let text = Self::with(engine, LS_INDEX_KEY, |s, b| s.get_item(b, LS_INDEX_KEY));
+        let index = text.ok().flatten().map(|t| DirIndex::deserialize(&t));
+        cb(engine, Ok(index));
     }
 
-    fn load_index(&mut self, engine: &Engine) -> Option<String> {
-        let browser = engine.profile().browser.name();
-        engine
-            .with_storage(|s, _| {
-                s.sync_store(SyncMechanism::LocalStorage)
-                    .get_item(browser, LS_INDEX_KEY)
-            })
-            .ok()
-            .flatten()
+    fn persist_index(&self, engine: &Engine, image: String, cb: FsCallback<()>) {
+        let set = Self::with(engine, LS_INDEX_KEY, |s, b| {
+            s.set_item(b, LS_INDEX_KEY, &image)
+        });
+        cb(engine, set);
     }
 }
 
@@ -504,11 +797,6 @@ impl XhrStore {
             ns_per_kib,
         }
     }
-
-    /// The server's listing (used to build the directory index).
-    pub fn listing(&self) -> DirIndex {
-        DirIndex::from_file_paths(self.files.keys().map(String::as_str))
-    }
 }
 
 impl BlobStore for XhrStore {
@@ -528,36 +816,35 @@ impl BlobStore for XhrStore {
         self.ns_per_kib
     }
 
-    fn get(&mut self, engine: &Engine, key: &str) -> FsResult<Option<Vec<u8>>> {
+    fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {
         let data = self.files.get(key).cloned();
         if let Some(d) = &data {
-            // The downloaded body lands in a typed array (or string on
-            // browsers without them) — visible to the Safari leak.
-            if engine.profile().has_typed_arrays {
-                engine.typed_array_alloc(d.len());
-                engine.typed_array_free(d.len());
-                engine.charge_n(Cost::TypedArrayByte, d.len() as u64);
-            } else {
-                engine.charge_n(Cost::JsArrayByte, d.len() as u64);
-            }
+            charge_read(engine, d.len());
         }
-        Ok(data)
+        cb(engine, Ok(data));
     }
 
-    fn put(&mut self, _engine: &Engine, key: &str, _data: &[u8]) -> FsResult<()> {
-        Err(FsError::new(Errno::Erofs, key))
+    fn put(&self, engine: &Engine, key: &str, _data: Vec<u8>, cb: FsCallback<()>) {
+        cb(engine, Err(FsError::new(Errno::Erofs, key)));
     }
 
-    fn delete(&mut self, _engine: &Engine, key: &str) -> FsResult<()> {
-        Err(FsError::new(Errno::Erofs, key))
+    fn delete(&self, engine: &Engine, key: &str, cb: FsCallback<()>) {
+        cb(engine, Err(FsError::new(Errno::Erofs, key)));
+    }
+
+    /// The tree is the server's listing.
+    fn load_index(&self, engine: &Engine, cb: FsCallback<Option<DirIndex>>) {
+        let listing = DirIndex::from_file_paths(self.files.keys().map(String::as_str));
+        cb(engine, Ok(Some(listing)));
     }
 }
 
 /// Dropbox cloud storage: read-write, but every operation pays a cloud
-/// round trip.
-#[derive(Debug)]
+/// round trip. Clones share one account, so a second backend over a
+/// clone sees what the first one stored (a page reload).
+#[derive(Debug, Clone)]
 pub struct DropboxStore {
-    blobs: HashMap<String, Vec<u8>>,
+    blobs: Rc<RefCell<HashMap<String, Vec<u8>>>>,
     rtt_ns: u64,
     ns_per_kib: u64,
 }
@@ -572,7 +859,7 @@ impl DropboxStore {
     /// A cloud store with an explicit network model.
     pub fn with_network(rtt_ns: u64, ns_per_kib: u64) -> DropboxStore {
         DropboxStore {
-            blobs: HashMap::new(),
+            blobs: Rc::default(),
             rtt_ns,
             ns_per_kib,
         }
@@ -598,39 +885,27 @@ impl BlobStore for DropboxStore {
         self.ns_per_kib
     }
 
-    fn get(&mut self, _engine: &Engine, key: &str) -> FsResult<Option<Vec<u8>>> {
-        Ok(self.blobs.get(key).cloned())
+    fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {
+        let data = self.blobs.borrow().get(key).cloned();
+        cb(engine, Ok(data));
     }
 
-    fn put(&mut self, _engine: &Engine, key: &str, data: &[u8]) -> FsResult<()> {
-        self.blobs.insert(key.to_string(), data.to_vec());
-        Ok(())
+    fn put(&self, engine: &Engine, key: &str, data: Vec<u8>, cb: FsCallback<()>) {
+        self.blobs.borrow_mut().insert(key.to_string(), data);
+        cb(engine, Ok(()));
     }
 
-    fn delete(&mut self, _engine: &Engine, key: &str) -> FsResult<()> {
-        self.blobs.remove(key);
-        Ok(())
-    }
-
-    fn persist_index(&mut self, _engine: &Engine, index: &DirIndex) -> FsResult<()> {
-        self.blobs
-            .insert(INDEX_KEY.to_string(), index.serialize().into_bytes());
-        Ok(())
-    }
-
-    fn load_index(&mut self, _engine: &Engine) -> Option<String> {
-        self.blobs
-            .get(INDEX_KEY)
-            .map(|b| String::from_utf8_lossy(b).into_owned())
+    fn delete(&self, engine: &Engine, key: &str, cb: FsCallback<()>) {
+        self.blobs.borrow_mut().remove(key);
+        cb(engine, Ok(()));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backends::local_storage;
     use doppio_jsengine::Browser;
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     /// An in-memory store that counts how often the index is persisted.
     struct CountingStore {
@@ -652,21 +927,21 @@ mod tests {
             1_000
         }
 
-        fn get(&mut self, engine: &Engine, key: &str) -> FsResult<Option<Vec<u8>>> {
-            self.blobs.get(engine, key)
+        fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {
+            self.blobs.get(engine, key, cb)
         }
 
-        fn put(&mut self, engine: &Engine, key: &str, data: &[u8]) -> FsResult<()> {
-            self.blobs.put(engine, key, data)
+        fn put(&self, engine: &Engine, key: &str, data: Vec<u8>, cb: FsCallback<()>) {
+            self.blobs.put(engine, key, data, cb)
         }
 
-        fn delete(&mut self, engine: &Engine, key: &str) -> FsResult<()> {
-            self.blobs.delete(engine, key)
+        fn delete(&self, engine: &Engine, key: &str, cb: FsCallback<()>) {
+            self.blobs.delete(engine, key, cb)
         }
 
-        fn persist_index(&mut self, _engine: &Engine, _index: &DirIndex) -> FsResult<()> {
+        fn persist_index(&self, engine: &Engine, _image: String, cb: FsCallback<()>) {
             self.persists.set(self.persists.get() + 1);
-            Ok(())
+            cb(engine, Ok(()));
         }
     }
 
@@ -678,6 +953,47 @@ mod tests {
             persists: persists.clone(),
         };
         (BlobBackend::new(engine, store), persists)
+    }
+
+    /// An out-of-process store: the blob map behind one event-loop hop,
+    /// standing in for the replicated cluster.
+    type Blobs = Rc<RefCell<BTreeMap<String, Vec<u8>>>>;
+
+    struct LoopbackStore {
+        blobs: Blobs,
+    }
+
+    impl BlobStore for LoopbackStore {
+        fn name(&self) -> &'static str {
+            "Loopback"
+        }
+
+        fn op_latency_ns(&self) -> u64 {
+            1_200
+        }
+
+        fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {
+            let data = self.blobs.borrow().get(key).cloned();
+            deliver(engine, 5_000, cb, Ok(data));
+        }
+
+        fn put(&self, engine: &Engine, key: &str, data: Vec<u8>, cb: FsCallback<()>) {
+            self.blobs.borrow_mut().insert(key.to_string(), data);
+            deliver(engine, 5_000, cb, Ok(()));
+        }
+
+        fn delete(&self, engine: &Engine, key: &str, cb: FsCallback<()>) {
+            self.blobs.borrow_mut().remove(key);
+            deliver(engine, 5_000, cb, Ok(()));
+        }
+    }
+
+    fn loopback() -> (BlobBackend<LoopbackStore>, Blobs) {
+        let blobs = Blobs::default();
+        let store = LoopbackStore {
+            blobs: blobs.clone(),
+        };
+        (BlobBackend::empty(store), blobs)
     }
 
     /// Run one backend operation to completion.
@@ -694,12 +1010,15 @@ mod tests {
         r.err().expect("operation should fail").errno
     }
 
+    fn flags(f: &str) -> OpenFlags {
+        OpenFlags::parse(f).unwrap()
+    }
+
     #[test]
     fn persist_index_runs_once_per_successful_mutation_only() {
         let e = &Engine::new(Browser::Chrome);
         let (b, persists) = counting(e, false);
         let persisted = |n: usize| assert_eq!(persists.replace(0), n);
-        let flags = |f: &str| OpenFlags::parse(f).unwrap();
 
         run(e, |cb| b.mkdir(e, "/d", cb)).unwrap();
         persisted(1);
@@ -738,21 +1057,14 @@ mod tests {
     fn read_only_store_never_persists_the_index() {
         let e = &Engine::new(Browser::Chrome);
         let (b, persists) = counting(e, true);
-        let create = OpenFlags::parse("w").unwrap();
         assert_eq!(errno(run(e, |cb| b.mkdir(e, "/d", cb))), Errno::Erofs);
-        assert_eq!(
-            errno(run(e, |cb| b.open(e, "/f", create, cb))),
-            Errno::Erofs
-        );
-        assert_eq!(
-            errno(run(e, |cb| b.sync(e, "/f", vec![1], cb))),
-            Errno::Erofs
-        );
+        let create = run(e, |cb| b.open(e, "/f", flags("w"), cb));
+        assert_eq!(errno(create), Errno::Erofs);
+        let sync = run(e, |cb| b.sync(e, "/f", vec![1], cb));
+        assert_eq!(errno(sync), Errno::Erofs);
         assert_eq!(errno(run(e, |cb| b.unlink(e, "/f", cb))), Errno::Erofs);
-        assert_eq!(
-            errno(run(e, |cb| b.rename(e, "/f", "/g", cb))),
-            Errno::Erofs
-        );
+        let rename = run(e, |cb| b.rename(e, "/f", "/g", cb));
+        assert_eq!(errno(rename), Errno::Erofs);
         assert_eq!(errno(run(e, |cb| b.rmdir(e, "/d", cb))), Errno::Erofs);
         assert_eq!(persists.get(), 0);
     }
@@ -760,7 +1072,7 @@ mod tests {
     #[test]
     fn local_storage_persists_the_exact_index_string() {
         let e = &Engine::new(Browser::Chrome);
-        let b = BlobBackend::new(e, LocalStorageStore::new());
+        let b = local_storage(e);
         run(e, |cb| b.mkdir(e, "/a", cb)).unwrap();
         run(e, |cb| b.sync(e, "/a/b.txt", b"x".to_vec(), cb)).unwrap();
         run(e, |cb| b.sync(e, "/a-b", b"y".to_vec(), cb)).unwrap();
@@ -779,7 +1091,108 @@ mod tests {
         assert_eq!(persisted.as_deref(), Some("D/a\nF/a-b\nD/a/c\nF/a/c/b.txt"));
 
         // A reload restores the same tree from that string.
-        let reloaded = BlobBackend::new(e, LocalStorageStore::new());
+        let reloaded = local_storage(e);
         assert_eq!(run(e, |cb| reloaded.readdir(e, "/a", cb)).unwrap(), ["c"]);
+    }
+
+    #[test]
+    fn a_failed_store_write_leaves_no_phantom_file() {
+        let e = &Engine::new(Browser::Chrome);
+        let b = local_storage(e);
+        run(e, |cb| b.sync(e, "/kept", b"old".to_vec(), cb)).unwrap();
+        let too_big = vec![7u8; 6 << 20];
+        let sync = run(e, |cb| b.sync(e, "/new", too_big.clone(), cb));
+        assert_eq!(errno(sync), Errno::Enospc);
+        assert_eq!(errno(run(e, |cb| b.stat(e, "/new", cb))), Errno::Enoent);
+        let open = run(e, |cb| b.open(e, "/new", flags("r"), cb));
+        assert_eq!(errno(open), Errno::Enoent);
+        assert_eq!(run(e, |cb| b.readdir(e, "/", cb)).unwrap(), ["kept"]);
+        let reloaded = local_storage(e);
+        assert_eq!(run(e, |cb| reloaded.readdir(e, "/", cb)).unwrap(), ["kept"]);
+
+        // A failed overwrite keeps the old contents and their size.
+        let sync = run(e, |cb| b.sync(e, "/kept", too_big, cb));
+        assert_eq!(errno(sync), Errno::Enospc);
+        assert_eq!(run(e, |cb| b.stat(e, "/kept", cb)).unwrap().size, 3);
+        let read = run(e, |cb| b.open(e, "/kept", flags("r"), cb)).unwrap();
+        assert_eq!(read, b"old");
+    }
+
+    #[test]
+    fn renaming_a_large_subtree_inline_keeps_the_stack_flat() {
+        let e = &Engine::new(Browser::Chrome);
+        let b = BlobBackend::new(e, MemoryStore::new());
+        run(e, |cb| b.mkdir(e, "/big", cb)).unwrap();
+        for i in 0..20_000 {
+            let path = format!("/big/f{i}");
+            b.sync(e, &path, vec![1], Box::new(|_, r| r.unwrap()));
+        }
+        e.run_until_idle();
+        run(e, |cb| b.rename(e, "/big", "/moved", cb)).unwrap();
+        let names = run(e, |cb| b.readdir(e, "/moved", cb)).unwrap();
+        assert_eq!(names.len(), 20_000);
+        let data = run(e, |cb| b.open(e, "/moved/f19999", flags("r"), cb)).unwrap();
+        assert_eq!(data, [1]);
+    }
+
+    #[test]
+    fn whole_file_round_trip_and_index_persistence() {
+        let e = &Engine::new(Browser::Chrome);
+        let (be, blobs) = loopback();
+
+        run(e, |cb| be.mkdir(e, "/d", cb)).unwrap();
+        run(e, |cb| be.open(e, "/d/f", flags("w"), cb)).unwrap();
+        run(e, |cb| be.sync(e, "/d/f", b"hello".to_vec(), cb)).unwrap();
+        let data = run(e, |cb| be.open(e, "/d/f", flags("r"), cb)).unwrap();
+        assert_eq!(data, b"hello");
+        // The index is persisted as an object alongside the blobs.
+        assert!(blobs.borrow().contains_key(INDEX_KEY));
+        assert_eq!(blobs.borrow().get("/d/f").unwrap(), b"hello");
+
+        // A fresh backend hydrates the persisted tree; sizes are fetched.
+        let be2 = BlobBackend::empty(LoopbackStore {
+            blobs: blobs.clone(),
+        });
+        run(e, |cb| be2.hydrate(e, cb)).unwrap();
+        let st = run(e, |cb| be2.stat(e, "/d/f", cb)).unwrap();
+        assert!(st.is_file());
+        assert_eq!(st.size, 5);
+        assert_eq!(run(e, |cb| be2.readdir(e, "/d", cb)).unwrap(), ["f"]);
+    }
+
+    #[test]
+    fn remote_answers_are_handed_on_and_index_answers_wait_the_store_latency() {
+        let e = &Engine::new(Browser::Chrome);
+        let (be, _) = loopback();
+        let elapsed = |op: &dyn Fn(FsCallback<()>)| {
+            let start = e.now_ns();
+            let done = Rc::new(Cell::new(0));
+            let d = done.clone();
+            op(Box::new(move |e, _| d.set(e.now_ns())));
+            e.run_until_idle();
+            done.get() - start
+        };
+        // Index only: one event, after the store's 1.2 µs latency.
+        let local = elapsed(&|cb| be.utimes(e, "/", 1, cb));
+        // One remote put (the index): handed on from the store's own
+        // 5 µs event, with no second hop.
+        let remote = elapsed(&|cb| be.mkdir(e, "/d", cb));
+        let dispatch = local - 1_200;
+        assert_eq!(remote, 5_000 + dispatch);
+    }
+
+    #[test]
+    fn rename_moves_blobs_and_subtrees() {
+        let e = &Engine::new(Browser::Chrome);
+        let (be, blobs) = loopback();
+        run(e, |cb| be.mkdir(e, "/a", cb)).unwrap();
+        run(e, |cb| be.sync(e, "/a/x", b"1".to_vec(), cb)).unwrap();
+        run(e, |cb| be.sync(e, "/a/y", b"2".to_vec(), cb)).unwrap();
+        run(e, |cb| be.rename(e, "/a", "/b", cb)).unwrap();
+        assert_eq!(run(e, |cb| be.readdir(e, "/b", cb)).unwrap(), ["x", "y"]);
+        assert!(blobs.borrow().get("/a/x").is_none());
+        assert_eq!(blobs.borrow().get("/b/x").unwrap(), b"1");
+        let data = run(e, |cb| be.open(e, "/b/y", flags("r"), cb)).unwrap();
+        assert_eq!(data, b"2");
     }
 }

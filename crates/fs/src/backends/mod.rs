@@ -3,12 +3,12 @@
 pub mod blob;
 pub mod faulty;
 pub mod mount;
-pub mod replicated;
 
-pub use blob::{BlobBackend, BlobStore, DropboxStore, LocalStorageStore, MemoryStore, XhrStore};
+pub use blob::{
+    BlobBackend, BlobStore, DropboxStore, LocalStorageStore, MemoryStore, XhrStore, INDEX_KEY,
+};
 pub use faulty::FaultyBackend;
 pub use mount::MountableFs;
-pub use replicated::{ObjectStoreBackend, ObjectStoreClient};
 
 use doppio_jsengine::Engine;
 use std::collections::BTreeMap;
@@ -30,9 +30,7 @@ pub fn local_storage(engine: &Engine) -> SharedBackend {
 /// A read-only backend over files served by the web server, downloaded
 /// on demand.
 pub fn xhr(engine: &Engine, files: BTreeMap<String, Vec<u8>>) -> SharedBackend {
-    let store = XhrStore::new(files);
-    let index = store.listing();
-    Rc::new(BlobBackend::with_index(engine, store, index))
+    Rc::new(BlobBackend::new(engine, XhrStore::new(files)))
 }
 
 /// A Dropbox-style cloud backend (read-write, high latency).
@@ -50,8 +48,10 @@ pub fn faulty(inner: SharedBackend, plan: doppio_faults::FaultPlan) -> SharedBac
     Rc::new(FaultyBackend::new(inner, plan))
 }
 
-/// A backend over any asynchronous [`ObjectStoreClient`] — the seam
-/// the replicated store in `doppio-storage` plugs into.
-pub fn replicated<C: ObjectStoreClient + 'static>(client: C) -> SharedBackend {
-    Rc::new(ObjectStoreBackend::new(client))
+/// A backend over a remote store that starts with an empty tree and
+/// issues no request until its first operation — the seam the
+/// replicated store in `doppio-storage` plugs into.
+/// [`BlobBackend::hydrate`] loads a tree the store already holds.
+pub fn replicated<C: BlobStore + 'static>(client: C) -> SharedBackend {
+    Rc::new(BlobBackend::empty(client))
 }

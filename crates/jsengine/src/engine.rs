@@ -112,9 +112,8 @@ impl EngineCounters {
 
 /// The observability knobs, gathered in one place.
 ///
-/// Historically `.histograms(bool)` (a registry-wide switch) and
-/// `.profiler(Profiler)` (a per-engine attachment) were asymmetric
-/// builder methods; both now live here, accepted uniformly by
+/// Histograms (a registry-wide switch) and the sampling profiler (a
+/// per-engine attachment) are accepted uniformly here, by
 /// [`EngineBuilder::observability`] and by the kernel. Fields left
 /// unset fall back to whatever the accepting side already had.
 ///
@@ -275,18 +274,6 @@ impl EngineBuilder {
     /// one knob.
     pub fn histograms(mut self, on: bool) -> EngineBuilder {
         self.obs.histograms = Some(on);
-        self
-    }
-
-    /// Attach a virtual-clock sampling [`Profiler`]. Suspend/slice
-    /// boundaries check it and fold the live stacks; see
-    /// `docs/observability.md`.
-    ///
-    /// Delegates to [`ObservabilityOptions`]; prefer
-    /// [`observability`](Self::observability) when setting more than
-    /// one knob.
-    pub fn profiler(mut self, profiler: Profiler) -> EngineBuilder {
-        self.obs.profiler = Some(profiler);
         self
     }
 

@@ -12,17 +12,19 @@
 //! blob another session has since overwritten (its own writes update
 //! the cache write-through).
 //!
-//! [`StorageClient`] implements
-//! [`ObjectStoreClient`](doppio_fs::backends::replicated::ObjectStoreClient),
-//! so `doppio_fs::backends::replicated(cluster.client(...))` yields a
-//! full FS backend over the cluster.
+//! [`StorageClient`] implements [`BlobStore`], so
+//! `doppio_fs::backends::replicated(cluster.client(...))` yields a full
+//! FS backend over the cluster. Every answer arrives from a later event
+//! (a cache hit after `CACHE_HIT_NS`, anything else over the network),
+//! so the fs core hands it on as it comes; only answers the core gives
+//! from its own index pay `LOCAL_LATENCY_NS`.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use doppio_fs::backend::FsCallback;
-use doppio_fs::backends::replicated::ObjectStoreClient;
+use doppio_fs::backends::BlobStore;
 use doppio_jsengine::Engine;
 use doppio_sockets::{ClientHandlers, ConnId, Network};
 use doppio_trace::SpanContext;
@@ -32,6 +34,10 @@ use crate::proto::{Frame, FrameBuffer, RequestOp, WriteOp};
 
 /// Virtual latency of a cache hit (no network round trip).
 const CACHE_HIT_NS: u64 = 2_000;
+
+/// Virtual latency of an answer the fs core gives from its own index,
+/// without asking the cluster (matching the in-memory store).
+const LOCAL_LATENCY_NS: u64 = 1_200;
 
 /// Backoff between reconnect attempts.
 const RECONNECT_NS: u64 = 2_000_000;
@@ -460,9 +466,13 @@ fn handle_close(inner: &Rc<ClientInner>, engine: &Engine, id: ConnId) {
     });
 }
 
-impl ObjectStoreClient for StorageClient {
+impl BlobStore for StorageClient {
     fn name(&self) -> &'static str {
         "Replicated"
+    }
+
+    fn op_latency_ns(&self) -> u64 {
+        LOCAL_LATENCY_NS
     }
 
     fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {

@@ -108,8 +108,6 @@ mod tests {
         // The blob and the persisted index both reached the backups.
         assert_eq!(cluster.object(1, "/d/f").unwrap(), b"replicated");
         assert_eq!(cluster.object(2, "/d/f").unwrap(), b"replicated");
-        assert!(cluster
-            .object(1, doppio_fs::backends::replicated::INDEX_KEY)
-            .is_some());
+        assert!(cluster.object(1, doppio_fs::backends::INDEX_KEY).is_some());
     }
 }

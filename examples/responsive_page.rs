@@ -22,7 +22,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use doppio::fs::{backends, FileSystem};
-use doppio::jsengine::{Browser, Cost, Engine};
+use doppio::jsengine::{Browser, Cost, Engine, ObservabilityOptions};
 use doppio::jvm::{fsutil, Jvm};
 use doppio::minijava::compile_to_bytes;
 use doppio::report::RunReport;
@@ -74,7 +74,9 @@ fn main() {
     if observing {
         // Histograms feed the report's percentile rows; the profiler
         // samples every 1 ms of virtual time at suspend boundaries.
-        builder = builder.histograms(true).profiler(Profiler::new(1_000_000));
+        builder = builder
+            .histograms(true)
+            .observability(ObservabilityOptions::new().profiler(Profiler::new(1_000_000)));
     }
     let engine = builder.build();
     if let Some(sink) = &sink {

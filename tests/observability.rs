@@ -6,7 +6,7 @@
 use std::rc::Rc;
 
 use doppio::fs::{backends, FileSystem};
-use doppio::jsengine::{Browser, Engine};
+use doppio::jsengine::{Browser, Engine, ObservabilityOptions};
 use doppio::jvm::{fsutil, Jvm};
 use doppio::minijava::compile_to_bytes;
 use doppio::report::RunReport;
@@ -32,7 +32,7 @@ fn instrumented_run(ring_capacity: usize) -> (String, String, String) {
     let engine = Engine::builder(Browser::Chrome)
         .trace_sink(sink.clone())
         .histograms(true)
-        .profiler(Profiler::new(1_000_000))
+        .observability(ObservabilityOptions::new().profiler(Profiler::new(1_000_000)))
         .build();
     sink.set_drop_counter(engine.metrics().counter("trace.dropped"));
     let fs = FileSystem::new(&engine, backends::in_memory(&engine));
