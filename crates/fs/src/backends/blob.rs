@@ -152,12 +152,25 @@ fn restore<V>(map: &mut HashMap<String, V>, key: &str, old: Option<V>) {
 }
 
 impl Tree {
-    /// Record a whole-file write of `len` bytes at `now`, ahead of its put.
-    fn record_write(&mut self, path: &str, len: usize, now: u64) -> FsResult<Undo> {
-        let created = !self.index.contains(path);
-        if created {
-            self.index.insert_file(path)?;
-        }
+    /// Record a whole-file write of `len` bytes at `now`, ahead of its
+    /// put. A directory is never written, even on a `read_only` store
+    /// (as in `open`); anything else is `EROFS` there.
+    fn record_write(
+        &mut self,
+        path: &str,
+        len: usize,
+        now: u64,
+        read_only: bool,
+    ) -> FsResult<Undo> {
+        let created = match self.index.kind(path) {
+            Some(FileKind::Directory) => return Err(FsError::new(Errno::Eisdir, path)),
+            _ if read_only => return Err(FsError::new(Errno::Erofs, path)),
+            Some(FileKind::File) => false,
+            None => {
+                self.index.insert_file(path)?;
+                true
+            }
+        };
         Ok(Undo {
             created,
             size: self.sizes.insert(path.to_string(), len),
@@ -288,10 +301,12 @@ impl<S: BlobStore + 'static> Core<S> {
         cb: FsCallback<T>,
         value: T,
     ) {
-        let recorded = self
-            .tree
-            .borrow_mut()
-            .record_write(path, data.len(), engine.now_ns());
+        let recorded = self.tree.borrow_mut().record_write(
+            path,
+            data.len(),
+            engine.now_ns(),
+            self.store.is_read_only(),
+        );
         let undo = match recorded {
             Ok(undo) => undo,
             Err(err) => return self.answer(engine, false, payload, cb, Err(err)),
@@ -509,20 +524,14 @@ impl<S: BlobStore + 'static> Backend for BlobBackend<S> {
                 );
             }
             None if !flags.create => Err(FsError::new(Errno::Enoent, path)),
-            None => match core.read_only_guard(path) {
-                Err(err) => Err(err),
-                Ok(()) => return core.write(engine, path, Vec::new(), 0, cb, Vec::new()),
-            },
+            None => return core.write(engine, path, Vec::new(), 0, cb, Vec::new()),
         };
         core.answer(engine, false, 0, cb, local);
     }
 
     fn sync(&self, engine: &Engine, path: &str, data: Vec<u8>, cb: FsCallback<()>) {
         let payload = data.len();
-        match self.core.read_only_guard(path) {
-            Err(err) => self.core.answer(engine, false, payload, cb, Err(err)),
-            Ok(()) => self.core.write(engine, path, data, payload, cb, ()),
-        }
+        self.core.write(engine, path, data, payload, cb, ());
     }
 
     fn close(&self, engine: &Engine, _path: &str, cb: FsCallback<()>) {

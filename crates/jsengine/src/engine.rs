@@ -397,6 +397,28 @@ impl Engine {
         self.inner.counters.ns[kind as usize].add(cost);
     }
 
+    /// Charge `counts[k]` single operations of category `k` (a
+    /// `Cost as usize`) and zero the counts. The clock and the
+    /// `engine.ops.*`/`engine.ns.*` counters end exactly as after that
+    /// many [`charge`](Self::charge) calls, provided typed-array
+    /// residency did not change in between: one charge costs
+    /// `apply_paging(unit)`, which depends on nothing else.
+    pub fn charge_counts(&self, counts: &mut [u64; COST_CATEGORIES]) {
+        let memory = self.inner.memory.borrow();
+        let mut total = 0;
+        for (k, n) in counts.iter_mut().enumerate() {
+            if *n == 0 {
+                continue;
+            }
+            let cost = memory.apply_paging(self.inner.profile.cost_ns[k]) * *n;
+            total += cost;
+            self.inner.counters.ops[k].add(*n);
+            self.inner.counters.ns[k].add(cost);
+            *n = 0;
+        }
+        self.inner.clock_ns.set(self.inner.clock_ns.get() + total);
+    }
+
     /// Advance the clock without attributing the time to an operation
     /// category (used for modeled external latencies).
     pub fn advance_ns(&self, ns: u64) {
@@ -781,6 +803,26 @@ mod tests {
         assert!(e.now_ns() > t0);
         let stats = e.stats();
         assert_eq!(stats.ops[Cost::Dispatch as usize], 1);
+    }
+
+    #[test]
+    fn charged_counts_match_single_charges_while_paging() {
+        let (one, all) = (Engine::new(Browser::Safari), Engine::new(Browser::Safari));
+        let mut counts = [0; COST_CATEGORIES];
+        for e in [&one, &all] {
+            e.typed_array_alloc(5 << 20);
+        }
+        for (k, n) in [(Cost::Dispatch, 5), (Cost::LongOp, 3), (Cost::Branch, 1)] {
+            counts[k as usize] = n;
+            for _ in 0..n {
+                one.charge(k);
+            }
+        }
+        all.charge_counts(&mut counts);
+        assert_eq!(counts, [0; COST_CATEGORIES]);
+        assert_eq!(one.now_ns(), all.now_ns());
+        assert_eq!(one.stats().ops, all.stats().ops);
+        assert_eq!(one.stats().ns, all.stats().ns);
     }
 
     #[test]

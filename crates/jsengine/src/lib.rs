@@ -30,6 +30,8 @@
 //! assert!(engine.now_ns() >= 4_000_000);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod event_loop;
 pub mod jsstring;

@@ -6,7 +6,22 @@
 //! into an [`OpStream`]: one pre-decoded [`Op`] per instruction, with
 //! operands unpacked, branch targets resolved to op indices and a few
 //! hot sequences fused into superinstructions. [`execute`] then runs the
-//! top frame's stream until the thread must leave the interpreter.
+//! thread's frames until the thread must leave the interpreter.
+//!
+//! **Frames in one loop.** [`execute`] runs an outer loop over frames
+//! and an inner loop over ops, which keeps the executing frame, its op
+//! slice and the op index in locals. A call, a return, a `<clinit>`
+//! push, a native's normal return and a caught exception go back to the
+//! outer loop, which takes the new top frame at its pc. The executor
+//! leaves only when the thread blocks, yields, exits, finishes, throws
+//! past its last frame, or a suspend check fires.
+//!
+//! **The §6.1 suspend check.** In a hosted run (an engine with a
+//! watchdog), [`interp::suspend_check`] runs once after every frame push
+//! or pop, every normal native return and every `<clinit>` push, and,
+//! with `check_backedges` on, at every taken backward branch or `ret`.
+//! It drives the adaptive suspend counter, so it runs exactly there;
+//! when it fires, the hosting thread ends its slice.
 //!
 //! **Quickening in place.** An op whose constant-pool entry or call site
 //! is still unresolved runs the resolution code in [`crate::interp`] on
@@ -18,20 +33,30 @@
 //! **Virtual-cost parity.** Every op adds one to `instructions` and
 //! charges one `Cost::Dispatch`, then the cost sequence and counter bumps
 //! of its bytecode. A superinstruction replays one such sequence per
-//! fused instruction, never a single `charge_n`, whose paging adjustment
-//! is non-linear. Transcripts, reports and schedules depend on this.
+//! fused instruction. Single charges go into a local [`Tally`], settled
+//! by one `Engine::charge_counts` call. That is exact: one charge of a
+//! category costs its unit after `apply_paging`, which depends only on
+//! the resident typed-array bytes, and charges commute. So the tally
+//! settles before anything reads the clock or the engine's counters, or
+//! changes residency: every exit, suspend check, typed-array allocation,
+//! and helper that may trace, block, throw or wake. Helpers that only
+//! charge (an instance allocation, an `ldc` hit) charge directly, and a
+//! warm bytecode-to-bytecode call in an unhosted run settles nothing.
+//! `charge_n` sites keep their call: `apply_paging(unit·n)` rounds
+//! differently from `n` single charges.
 //!
 //! **Resumable pcs.** Frames keep a bytecode pc. Before anything that can
-//! leave the executor — a throw, a call, a class load, a monitor block,
-//! a backedge suspend check — an op anchors the frame's pc, and every pc
-//! where execution can resume is an op head. A fused sequence keeps its
-//! tail ops in the stream, and a superinstruction never spans an
-//! instruction that can stop and retry.
+//! leave the executor or change the frame stack — a throw, a call, a
+//! class load, a monitor block, a backedge suspend check — an op anchors
+//! the frame's pc, and every pc where execution can resume is an op
+//! head. A fused sequence keeps its tail ops in the stream, and a
+//! superinstruction never spans an instruction that can stop and retry.
 //!
 //! **Malformed code.** [`decode`] rejects a truncated operand, a branch
 //! or handler target that is not an instruction head, and code that can
-//! run off its end; [`crate::interp::run`] turns the rejection into a
-//! guest `java/lang/InternalError` at the method's invocation.
+//! run off its end; the executor turns the rejection into a guest
+//! `java/lang/InternalError` at the method's invocation, popping its
+//! frame unrun.
 
 use std::cell::OnceCell;
 use std::rc::Rc;
@@ -39,6 +64,7 @@ use std::rc::Rc;
 use doppio_classfile::opcodes::{self as op, INFO, VARIABLE};
 use doppio_classfile::ExceptionEntry;
 use doppio_core::{ThreadContext, ThreadId};
+use doppio_jsengine::profile::COST_CATEGORIES;
 use doppio_jsengine::Cost;
 
 use crate::class::{ClassConst, ClassId, ResolvedField};
@@ -673,759 +699,818 @@ fn slot_and_cost(k: u8) -> (u16, Cost) {
 // Execution
 // ----------------------------------------------------------------
 
-/// Run the top frame's ops from its current pc until the thread must
-/// leave the executor: a frame push or pop, a block, a throw, or a
-/// backedge suspend check. `Continue` asks [`interp::run`] to re-enter
-/// at the top frame's pc.
+/// Single charges per `Cost` category that the executor has counted but
+/// not yet applied (see "Virtual-cost parity" in the module docs). The
+/// `Dispatch` count is the instructions run since the last settle.
+#[derive(Default)]
+pub(crate) struct Tally([u64; COST_CATEGORIES]);
+
+impl Tally {
+    #[inline(always)]
+    fn add(&mut self, kind: Cost) {
+        self.0[kind as usize] += 1;
+    }
+
+    /// Apply the counts to the engine and the instruction count.
+    pub(crate) fn settle(&mut self, state: &mut JvmState) {
+        state.instructions += self.0[Cost::Dispatch as usize];
+        state.engine.charge_counts(&mut self.0);
+    }
+}
+
+/// Run the thread's frames until it must leave the executor: it
+/// blocks, yields, exits, finishes, throws past its last frame, or a
+/// §6.1 suspend check fires. Calls and returns stay in the loop; the
+/// hosting thread's slice loop calls this.
 pub(crate) fn execute(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
     ctx: &mut ThreadContext<'_>,
     tid: ThreadId,
-    class: ClassId,
-    code: &OpStream,
 ) -> StepResult {
-    let Some(mut ip) = code.entry(frames.last().expect("executing frame").pc) else {
-        return interp::throw_vm(
-            state,
-            frames,
-            ctx,
-            tid,
-            "java/lang/InternalError",
-            "pc out of range",
-        );
-    };
+    let mut tally = Tally::default();
 
-    // A local slice keeps the ops' base pointer in a register across the
-    // loop; indexing through `code` each time cost nqueens ~25% host time.
-    let ops = &code.ops[..];
-
-    macro_rules! top {
-        () => {
-            frames.last_mut().expect("executing frame")
-        };
-    }
-    // Point the frame at the current instruction, so a throw dispatches
-    // and a blocked instruction retries from there.
-    macro_rules! anchor {
-        () => {
-            top!().pc = code.pcs[ip] as usize
-        };
-    }
-    macro_rules! throw {
-        ($class:expr, $msg:expr) => {{
-            anchor!();
-            return interp::throw_vm(state, frames, ctx, tid, $class, $msg);
-        }};
-    }
-    macro_rules! try_sr {
-        ($e:expr) => {
-            match $e {
-                Ok(v) => v,
-                Err(sr) => return sr,
-            }
-        };
-    }
-    // The dispatch of a fused instruction after the first.
-    macro_rules! tick {
-        () => {
-            state.instructions += 1;
-            state.engine.charge(Cost::Dispatch);
-        };
-    }
-    // A taken branch. Backward edges take the §6.1 suspend check when
-    // `check_backedges` is on.
-    macro_rules! branch {
-        ($t:expr) => {{
-            let t: Target = $t;
-            if t.back && state.check_backedges {
-                top!().pc = code.pcs[t.ip as usize] as usize;
-                state.engine.charge(Cost::IntOp);
-                return StepResult::CallBoundary;
-            }
-            ip = t.ip as usize;
-            continue;
-        }};
-    }
-    // The op's field, resolved on a miss; `$owned` keeps a resolution
-    // that was not quickened alive for this execution.
-    macro_rules! field {
-        ($cell:expr, $idx:expr, $is_static:expr, $owned:ident) => {
-            match $cell.get() {
-                Some(f) => {
-                    state.perf.cp_hit.inc();
-                    f
+    let sr = 'frames: loop {
+        // Go on with the top frame at its pc after a helper that may have
+        // changed the frame stack; leave on anything else (`break 'frames`
+        // leaves the executor, settling the tally on the way out).
+        macro_rules! reenter {
+            ($sr:expr) => {
+                match $sr {
+                    StepResult::Continue => continue 'frames,
+                    sr => break 'frames sr,
                 }
-                None => {
-                    anchor!();
-                    $owned = try_sr!(interp::resolve_field(
-                        state, frames, ctx, tid, *$idx, $is_static, $cell
-                    ));
-                    &$owned
-                }
-            }
-        };
-    }
-
-    loop {
-        state.instructions += 1;
-        state.engine.charge(Cost::Dispatch);
-        // Ops that fall through end at the `ip += 1` below the match.
-        match &ops[ip] {
-            Op::Nop => {}
-            Op::Const { v, cost } => {
-                if let Some(c) = cost {
-                    state.engine.charge(*c);
-                }
-                top!().push(*v);
-            }
-            Op::Ldc { idx, value } => {
-                let v = match value.get() {
-                    Some(v) => {
-                        interp::ldc_hit(state, *v);
-                        *v
-                    }
-                    None => {
-                        anchor!();
-                        try_sr!(interp::ldc(state, frames, ctx, tid, *idx, value))
-                    }
-                };
-                top!().push(v);
-            }
-            Op::Load { slot, cost } => {
-                state.engine.charge(*cost);
-                let f = top!();
-                f.push(f.local(*slot as usize));
-            }
-            Op::Store { slot, cost } => {
-                state.engine.charge(*cost);
-                let f = top!();
-                let v = f.pop();
-                f.set_local(*slot as usize, v);
-            }
-            Op::WideLoad { slot } => {
-                let f = top!();
-                f.push(f.local(*slot as usize));
-            }
-            Op::WideStore { slot } => {
-                let f = top!();
-                let v = f.pop();
-                f.set_local(*slot as usize, v);
-            }
-            Op::WideIinc { slot, delta } => {
-                let f = top!();
-                let v = f.local(*slot as usize).as_int();
-                f.set_local(*slot as usize, Value::Int(v.wrapping_add(*delta)));
-            }
-
-            Op::ArrLoad => {
-                state.engine.charge(Cost::ArrayGet);
-                let f = top!();
-                let (index, arr) = (f.pop_int(), f.pop_ref());
-                let Some(arr) = arr else {
-                    throw!("java/lang/NullPointerException", "array load");
-                };
-                let len = state.heap.get(arr).array_len().unwrap_or(0);
-                if index < 0 || index as usize >= len {
-                    throw!(
-                        "java/lang/ArrayIndexOutOfBoundsException",
-                        &format!("index {index}, length {len}")
-                    );
-                }
-                let i = index as usize;
-                let v = match state.heap.get(arr) {
-                    HeapObj::ArrayInt(v) => Value::Int(v[i]),
-                    HeapObj::ArrayLong(v) => Value::Long(v[i]),
-                    HeapObj::ArrayFloat(v) => Value::Float(v[i]),
-                    HeapObj::ArrayDouble(v) => Value::Double(v[i]),
-                    HeapObj::ArrayByte(v) => Value::Int(v[i] as i32),
-                    HeapObj::ArrayChar(v) => Value::Int(v[i] as i32),
-                    HeapObj::ArrayShort(v) => Value::Int(v[i] as i32),
-                    HeapObj::ArrayRef { data, .. } => Value::Ref(data[i]),
-                    _ => throw!("java/lang/InternalError", "not an array"),
-                };
-                top!().push(v);
-            }
-            Op::ArrStore => {
-                state.engine.charge(Cost::ArrayPut);
-                let f = top!();
-                let (value, index, arr) = (f.pop(), f.pop_int(), f.pop_ref());
-                let Some(arr) = arr else {
-                    throw!("java/lang/NullPointerException", "array store");
-                };
-                let len = state.heap.get(arr).array_len().unwrap_or(0);
-                if index < 0 || index as usize >= len {
-                    throw!(
-                        "java/lang/ArrayIndexOutOfBoundsException",
-                        &format!("index {index}, length {len}")
-                    );
-                }
-                let i = index as usize;
-                match (state.heap.get_mut(arr), value) {
-                    (HeapObj::ArrayInt(v), Value::Int(x)) => v[i] = x,
-                    (HeapObj::ArrayLong(v), Value::Long(x)) => v[i] = x,
-                    (HeapObj::ArrayFloat(v), Value::Float(x)) => v[i] = x,
-                    (HeapObj::ArrayDouble(v), Value::Double(x)) => v[i] = x,
-                    (HeapObj::ArrayByte(v), Value::Int(x)) => v[i] = x as i8,
-                    (HeapObj::ArrayChar(v), Value::Int(x)) => v[i] = x as u16,
-                    (HeapObj::ArrayShort(v), Value::Int(x)) => v[i] = x as i16,
-                    (HeapObj::ArrayRef { data, .. }, Value::Ref(r)) => data[i] = r,
-                    _ => throw!("java/lang/ArrayStoreException", "element type mismatch"),
-                }
-            }
-
-            // Stack shuffles work on slots (§6.1's explicit arrays).
-            Op::Pop1 => {
-                top!().pop_slot();
-            }
-            Op::Pop2 => {
-                let f = top!();
-                f.pop_slot();
-                f.pop_slot();
-            }
-            Op::Dup => {
-                let f = top!();
-                let v = *f.peek(0);
-                f.stack.push(v);
-            }
-            Op::DupX1 => {
-                let f = top!();
-                let (v1, v2) = (f.pop_slot(), f.pop_slot());
-                f.stack.extend([v1, v2, v1]);
-            }
-            Op::DupX2 => {
-                let f = top!();
-                let (v1, v2, v3) = (f.pop_slot(), f.pop_slot(), f.pop_slot());
-                f.stack.extend([v1, v3, v2, v1]);
-            }
-            Op::Dup2 => {
-                let f = top!();
-                let (v1, v2) = (*f.peek(0), *f.peek(1));
-                f.stack.extend([v2, v1]);
-            }
-            Op::Dup2X1 => {
-                let f = top!();
-                let (v1, v2, v3) = (f.pop_slot(), f.pop_slot(), f.pop_slot());
-                f.stack.extend([v2, v1, v3, v2, v1]);
-            }
-            Op::Dup2X2 => {
-                let f = top!();
-                let (v1, v2, v3, v4) = (f.pop_slot(), f.pop_slot(), f.pop_slot(), f.pop_slot());
-                f.stack.extend([v2, v1, v4, v3, v2, v1]);
-            }
-            Op::Swap => {
-                let f = top!();
-                let (v1, v2) = (f.pop_slot(), f.pop_slot());
-                f.stack.extend([v1, v2]);
-            }
-
-            Op::IntBin { op: bop } => {
-                state.engine.charge(Cost::IntOp);
-                let f = top!();
-                let (b, a) = (f.pop_int(), f.pop_int());
-                f.push(Value::Int(int_bin(*bop, a, b)));
-            }
-            Op::IntDivRem { rem } => {
-                state.engine.charge(Cost::IntOp);
-                let f = top!();
-                let (b, a) = (f.pop_int(), f.pop_int());
-                if b == 0 {
-                    throw!("java/lang/ArithmeticException", "/ by zero");
-                }
-                let r = if *rem {
-                    a.wrapping_rem(b)
-                } else {
-                    a.wrapping_div(b)
-                };
-                top!().push(Value::Int(r));
-            }
-            Op::IntNeg => {
-                state.engine.charge(Cost::IntOp);
-                let f = top!();
-                let a = f.pop_int();
-                f.push(Value::Int(a.wrapping_neg()));
-            }
-            Op::LongBin { op: bop } => {
-                state.engine.charge(Cost::LongOp);
-                let f = top!();
-                let (b, a) = (f.pop_long(), f.pop_long());
-                f.push(Value::Long(match *bop {
-                    op::LADD => a.wrapping_add(b),
-                    op::LSUB => a.wrapping_sub(b),
-                    op::LMUL => a.wrapping_mul(b),
-                    op::LAND => a & b,
-                    op::LOR => a | b,
-                    _ => a ^ b,
-                }));
-            }
-            Op::LongDivRem { rem } => {
-                state.engine.charge(Cost::LongOp);
-                let f = top!();
-                let (b, a) = (f.pop_long(), f.pop_long());
-                if b == 0 {
-                    throw!("java/lang/ArithmeticException", "/ by zero");
-                }
-                let r = if *rem {
-                    a.wrapping_rem(b)
-                } else {
-                    a.wrapping_div(b)
-                };
-                top!().push(Value::Long(r));
-            }
-            Op::LongShift { op: bop } => {
-                state.engine.charge(Cost::LongOp);
-                let f = top!();
-                let (s, a) = (f.pop_int() as u32 & 63, f.pop_long());
-                f.push(Value::Long(match *bop {
-                    op::LSHL => a.wrapping_shl(s),
-                    op::LSHR => a.wrapping_shr(s),
-                    _ => ((a as u64).wrapping_shr(s)) as i64,
-                }));
-            }
-            Op::LongNeg => {
-                state.engine.charge(Cost::LongOp);
-                let f = top!();
-                let a = f.pop_long();
-                f.push(Value::Long(a.wrapping_neg()));
-            }
-            Op::FloatBin { op: bop } => {
-                state.engine.charge(Cost::FloatOp);
-                let f = top!();
-                let (b, a) = (f.pop_float(), f.pop_float());
-                f.push(Value::Float(match *bop {
-                    op::FADD => a + b,
-                    op::FSUB => a - b,
-                    op::FMUL => a * b,
-                    op::FDIV => a / b,
-                    _ => a % b,
-                }));
-            }
-            Op::DoubleBin { op: bop } => {
-                state.engine.charge(Cost::FloatOp);
-                let f = top!();
-                let (b, a) = (f.pop_double(), f.pop_double());
-                f.push(Value::Double(match *bop {
-                    op::DADD => a + b,
-                    op::DSUB => a - b,
-                    op::DMUL => a * b,
-                    op::DDIV => a / b,
-                    _ => a % b,
-                }));
-            }
-            Op::FloatNeg => {
-                state.engine.charge(Cost::FloatOp);
-                let f = top!();
-                let a = f.pop_float();
-                f.push(Value::Float(-a));
-            }
-            Op::DoubleNeg => {
-                state.engine.charge(Cost::FloatOp);
-                let f = top!();
-                let a = f.pop_double();
-                f.push(Value::Double(-a));
-            }
-            Op::Iinc { slot, delta } => {
-                state.engine.charge(Cost::IntOp);
-                let f = top!();
-                let v = f.local(*slot as usize).as_int();
-                f.set_local(*slot as usize, Value::Int(v.wrapping_add(*delta)));
-            }
-            Op::Conv { op: cop, cost } => {
-                state.engine.charge(*cost);
-                let f = top!();
-                let v = match *cop {
-                    op::I2L => Value::Long(f.pop_int() as i64),
-                    op::I2F => Value::Float(f.pop_int() as f32),
-                    op::I2D => Value::Double(f.pop_int() as f64),
-                    op::L2I => Value::Int(f.pop_long() as i32),
-                    op::L2F => Value::Float(f.pop_long() as f32),
-                    op::L2D => Value::Double(f.pop_long() as f64),
-                    op::F2I => Value::Int(f2i(f.pop_float() as f64)),
-                    op::F2L => Value::Long(f2l(f.pop_float() as f64)),
-                    op::F2D => Value::Double(f.pop_float() as f64),
-                    op::D2I => Value::Int(f2i(f.pop_double())),
-                    op::D2L => Value::Long(f2l(f.pop_double())),
-                    op::D2F => Value::Float(f.pop_double() as f32),
-                    op::I2B => Value::Int(f.pop_int() as i8 as i32),
-                    op::I2C => Value::Int(f.pop_int() as u16 as i32),
-                    _ => Value::Int(f.pop_int() as i16 as i32),
-                };
-                f.push(v);
-            }
-            Op::Lcmp => {
-                state.engine.charge(Cost::LongOp);
-                let f = top!();
-                let (b, a) = (f.pop_long(), f.pop_long());
-                f.push(Value::Int(a.cmp(&b) as i32));
-            }
-            Op::Fcmp { greater_on_nan } => {
-                state.engine.charge(Cost::FloatOp);
-                let f = top!();
-                let (b, a) = (f.pop_float(), f.pop_float());
-                f.push(Value::Int(fp_cmp(a as f64, b as f64, *greater_on_nan)));
-            }
-            Op::Dcmp { greater_on_nan } => {
-                state.engine.charge(Cost::FloatOp);
-                let f = top!();
-                let (b, a) = (f.pop_double(), f.pop_double());
-                f.push(Value::Int(fp_cmp(a, b, *greater_on_nan)));
-            }
-
-            Op::If0 { cond, t } => {
-                state.engine.charge(Cost::Branch);
-                let v = top!().pop_int();
-                let taken = match *cond {
-                    op::IFEQ => v == 0,
-                    op::IFNE => v != 0,
-                    op::IFLT => v < 0,
-                    op::IFGE => v >= 0,
-                    op::IFGT => v > 0,
-                    _ => v <= 0,
-                };
-                if taken {
-                    branch!(*t);
-                }
-            }
-            Op::IfICmp { cond, t } => {
-                state.engine.charge(Cost::Branch);
-                let f = top!();
-                let (b, a) = (f.pop_int(), f.pop_int());
-                let taken = match *cond {
-                    op::IF_ICMPEQ => a == b,
-                    op::IF_ICMPNE => a != b,
-                    op::IF_ICMPLT => a < b,
-                    op::IF_ICMPGE => a >= b,
-                    op::IF_ICMPGT => a > b,
-                    _ => a <= b,
-                };
-                if taken {
-                    branch!(*t);
-                }
-            }
-            Op::IfACmp { eq, t } => {
-                state.engine.charge(Cost::Branch);
-                let f = top!();
-                let (b, a) = (f.pop_ref(), f.pop_ref());
-                if (a == b) == *eq {
-                    branch!(*t);
-                }
-            }
-            Op::IfNull { when_null, t } => {
-                state.engine.charge(Cost::Branch);
-                if top!().pop_ref().is_none() == *when_null {
-                    branch!(*t);
-                }
-            }
-            Op::Goto { t } => {
-                state.engine.charge(Cost::Branch);
-                branch!(*t);
-            }
-            Op::Jsr { t } => {
-                let ret = code.pcs[ip + 1] as usize;
-                top!().push(Value::RetAddr(ret));
-                branch!(*t);
-            }
-            Op::Ret { slot } => {
-                let Value::RetAddr(to) = top!().local(*slot as usize) else {
-                    let msg = format!(
-                        "ret of non-returnAddress {:?}",
-                        top!().local(*slot as usize)
-                    );
-                    throw!("java/lang/InternalError", &msg);
-                };
-                top!().pc = to;
-                if to < code.pcs[ip] as usize && state.check_backedges {
-                    state.engine.charge(Cost::IntOp);
-                    return StepResult::CallBoundary;
-                }
-                // Re-enter at the return address (an op head, or an
-                // InternalError for a forged one).
-                return StepResult::Continue;
-            }
-            Op::TableSwitch(sw) => {
-                state.engine.charge(Cost::Branch);
-                let k = i64::from(top!().pop_int()) - i64::from(sw.low);
-                branch!(usize::try_from(k)
-                    .ok()
-                    .and_then(|k| sw.targets.get(k))
-                    .copied()
-                    .unwrap_or(sw.default));
-            }
-            Op::LookupSwitch(sw) => {
-                state.engine.charge(Cost::Branch);
-                let v = top!().pop_int();
-                branch!(sw
-                    .pairs
-                    .iter()
-                    .find(|(key, _)| *key == v)
-                    .map_or(sw.default, |&(_, t)| t));
-            }
-            Op::Return { has_value } => {
-                let value = has_value.then(|| top!().pop());
-                return interp::do_return(state, frames, ctx, tid, value);
-            }
-
-            Op::GetStatic { idx, field } => {
-                let owned;
-                let f = field!(field, idx, true, owned);
-                state.engine.charge(Cost::MapOp);
-                state.engine.charge(Cost::FieldGet);
-                let statics = &state.registry.get(f.class).statics;
-                let v = statics.get(&*f.key).copied().unwrap_or(f.default);
-                top!().push(v);
-            }
-            Op::PutStatic { idx, field } => {
-                let owned;
-                let f = field!(field, idx, true, owned);
-                state.engine.charge(Cost::MapOp);
-                state.engine.charge(Cost::FieldPut);
-                let v = top!().pop();
-                let statics = &mut state.registry.get_mut(f.class).statics;
-                if let Some(slot) = statics.get_mut(&*f.key) {
-                    *slot = v;
-                } else {
-                    statics.insert(f.key.to_string(), v);
-                }
-            }
-            Op::GetField { idx, field } => {
-                let owned;
-                let f = field!(field, idx, false, owned);
-                state.engine.charge(Cost::MapOp);
-                state.engine.charge(Cost::FieldGet);
-                let Some(obj) = top!().pop_ref() else {
-                    throw!(
-                        "java/lang/NullPointerException",
-                        &format!("getfield {}", f.key)
-                    );
-                };
-                let v = get_field(state, obj, f);
-                top!().push(v);
-            }
-            Op::PutField { idx, field } => {
-                let owned;
-                let f = field!(field, idx, false, owned);
-                state.engine.charge(Cost::MapOp);
-                state.engine.charge(Cost::FieldPut);
-                let fr = top!();
-                let (v, obj) = (fr.pop(), fr.pop_ref());
-                let Some(obj) = obj else {
-                    throw!(
-                        "java/lang/NullPointerException",
-                        &format!("putfield {}", f.key)
-                    );
-                };
-                put_field(state, obj, f, v);
-            }
-
-            Op::Invoke { opcode, idx, site } => {
-                anchor!();
-                state.engine.charge(Cost::Call);
-                let site = match site.get() {
-                    Some(s) => {
-                        state.perf.cp_hit.inc();
-                        s
-                    }
-                    None => try_sr!(interp::call_site(state, frames, ctx, tid, *idx, site)),
-                };
-                let next_pc = code.pcs[ip + 1] as usize;
-                return interp::invoke_with_site(state, frames, ctx, tid, *opcode, next_pc, site);
-            }
-            Op::New { idx, class: id } => {
-                let id = match id.get() {
-                    Some(id) => {
-                        state.perf.cp_hit.inc();
-                        *id
-                    }
-                    None => {
-                        anchor!();
-                        try_sr!(interp::new_class(state, frames, ctx, tid, *idx, id))
-                    }
-                };
-                let r = interp::alloc_instance(state, id);
-                top!().push(Value::Ref(Some(r)));
-            }
-            Op::NewArray { atype } => {
-                state.engine.charge(Cost::Alloc);
-                let len = top!().pop_int();
-                if len < 0 {
-                    throw!("java/lang/NegativeArraySizeException", &len.to_string());
-                }
-                // DoppioJVM backs binary arrays (boolean[], char[], byte[])
-                // with typed arrays; register the allocation so Safari's
-                // leak model (§7.1) sees JVM-level buffer churn too. The
-                // matching free models the JS garbage collector.
-                if matches!(atype, 4 | 5 | 8) && state.engine.profile().has_typed_arrays {
-                    let bytes = len as usize * if *atype == 5 { 2 } else { 1 };
-                    state.engine.typed_array_alloc(bytes);
-                    state.engine.typed_array_free(bytes);
-                }
-                let Some(r) = state.heap.alloc_primitive_array(*atype, len as usize) else {
-                    throw!("java/lang/InternalError", "bad atype");
-                };
-                top!().push(Value::Ref(Some(r)));
-            }
-            Op::ANewArray { idx, class: cc } => {
-                state.engine.charge(Cost::Alloc);
-                let component = match interp::class_const(state, ctx, class, *idx, cc) {
-                    Ok(cc) => cc.name.to_string(),
-                    Err(msg) => throw!("java/lang/InternalError", &msg),
-                };
-                let len = top!().pop_int();
-                if len < 0 {
-                    throw!("java/lang/NegativeArraySizeException", &len.to_string());
-                }
-                let r = state.heap.alloc(HeapObj::ArrayRef {
-                    component,
-                    data: vec![None; len as usize],
-                });
-                top!().push(Value::Ref(Some(r)));
-            }
-            Op::MultiANewArray {
-                idx,
-                dims,
-                class: cc,
-            } => {
-                state.engine.charge(Cost::Alloc);
-                let desc = match interp::class_const(state, ctx, class, *idx, cc) {
-                    Ok(cc) => cc.name.clone(),
-                    Err(msg) => throw!("java/lang/InternalError", &msg),
-                };
-                let f = top!();
-                let mut sizes = vec![0i32; *dims as usize];
-                for s in sizes.iter_mut().rev() {
-                    *s = f.pop_int();
-                }
-                if sizes.iter().any(|&s| s < 0) {
-                    throw!("java/lang/NegativeArraySizeException", "multianewarray");
-                }
-                let r = interp::alloc_multi(state, &desc, &sizes);
-                top!().push(Value::Ref(Some(r)));
-            }
-            Op::ArrayLength => {
-                state.engine.charge(Cost::IntOp);
-                let Some(arr) = top!().pop_ref() else {
-                    throw!("java/lang/NullPointerException", "arraylength");
-                };
-                let Some(len) = state.heap.get(arr).array_len() else {
-                    throw!("java/lang/InternalError", "not an array");
-                };
-                top!().push(Value::Int(len as i32));
-            }
-            Op::Athrow => {
-                let Some(ex) = top!().pop_ref() else {
-                    throw!("java/lang/NullPointerException", "athrow null");
-                };
-                anchor!();
-                return interp::dispatch_exception(state, frames, ctx, tid, ex);
-            }
-            Op::TypeCheck {
-                idx,
-                instanceof,
-                class: cc,
-            } => {
-                anchor!();
-                let target = match interp::class_const(state, ctx, class, *idx, cc) {
-                    Ok(cc) => cc.name.clone(),
-                    Err(msg) => throw!("java/lang/InternalError", &msg),
-                };
-                state.engine.charge(Cost::MapOp);
-                // null passes checkcast and fails instanceof.
-                let r = top!().peek(0).as_ref();
-                let matches = match r {
-                    None => !instanceof,
-                    Some(obj) => {
-                        let cid = try_sr!(interp::runtime_class_of(state, obj));
-                        state.registry.is_assignable(cid, &target)
-                    }
-                };
-                if *instanceof {
-                    let f = top!();
-                    f.pop_ref();
-                    f.push(Value::Int(i32::from(matches && r.is_some())));
-                } else if !matches {
-                    let name = r
-                        .and_then(|o| interp::runtime_class_of(state, o).ok())
-                        .map(|c| state.registry.get(c).name.clone())
-                        .unwrap_or_default();
-                    throw!(
-                        "java/lang/ClassCastException",
-                        &format!("{name} cannot be cast to {target}")
-                    );
-                }
-            }
-            Op::MonitorEnter => {
-                let Some(&Value::Ref(obj)) = top!().stack.last() else {
-                    throw!("java/lang/InternalError", "monitorenter");
-                };
-                let Some(obj) = obj else {
-                    throw!("java/lang/NullPointerException", "monitorenter");
-                };
-                if !interp::try_enter_monitor(state, ctx, obj, tid) {
-                    interp::queue_on_monitor(state, obj, tid);
-                    anchor!();
-                    return StepResult::MonitorBlocked(obj); // retry when woken
-                }
-                top!().pop_ref();
-            }
-            Op::MonitorExit => {
-                let Some(obj) = top!().pop_ref() else {
-                    throw!("java/lang/NullPointerException", "monitorexit");
-                };
-                if let Err(msg) = interp::exit_monitor(state, ctx, obj, tid) {
-                    throw!("java/lang/IllegalMonitorStateException", &msg);
-                }
-            }
-            Op::Invalid(msg) => throw!("java/lang/InternalError", msg),
-
-            Op::LoadLoadIntBin { a, b, op: bop } => {
-                state.engine.charge(Cost::IntOp);
-                let f = top!();
-                f.push(f.local(*a as usize));
-                tick!();
-                state.engine.charge(Cost::IntOp);
-                let f = top!();
-                f.push(f.local(*b as usize));
-                tick!();
-                state.engine.charge(Cost::IntOp);
-                let f = top!();
-                let (y, x) = (f.pop_int(), f.pop_int());
-                f.push(Value::Int(int_bin(*bop, x, y)));
-                ip += 2;
-            }
-            Op::IincGoto { slot, delta, t } => {
-                state.engine.charge(Cost::IntOp);
-                let f = top!();
-                let v = f.local(*slot as usize).as_int();
-                f.set_local(*slot as usize, Value::Int(v.wrapping_add(*delta)));
-                tick!();
-                state.engine.charge(Cost::Branch);
-                branch!(*t);
-            }
-            Op::LoadGetfield { slot } => {
-                state.engine.charge(Cost::IntOp);
-                let f = top!();
-                f.push(f.local(*slot as usize));
-                if let Op::GetField { field, .. } = &code.ops[ip + 1] {
-                    if let Some(field) = field.get() {
-                        ip += 1;
-                        tick!();
-                        state.perf.cp_hit.inc();
-                        state.engine.charge(Cost::MapOp);
-                        state.engine.charge(Cost::FieldGet);
-                        let Some(obj) = top!().pop_ref() else {
-                            throw!(
-                                "java/lang/NullPointerException",
-                                &format!("getfield {}", field.key)
-                            );
-                        };
-                        let v = get_field(state, obj, field);
-                        top!().push(v);
-                    }
-                }
-            }
+            };
         }
-        ip += 1;
-    }
+        let Some(mut fr) = frames.last_mut() else {
+            break StepResult::Finished;
+        };
+        let blob = fr.code.clone();
+        let entry = match blob.ops() {
+            Ok(code) => code.entry(fr.pc).map(|ip| (code, ip)),
+            Err(_) => None,
+        };
+        let Some((code, mut ip)) = entry else {
+            tally.settle(state);
+            let msg = match blob.ops() {
+                Ok(_) => "pc out of range".to_string(),
+                // Malformed code: the frame is popped unrun and the error
+                // thrown from its caller.
+                Err(why) => {
+                    interp::pop_frame(state, frames, ctx, tid);
+                    let name = &state.registry.get(blob.class).name;
+                    format!("{name}.{}: {why}", blob.name)
+                }
+            };
+            let internal = "java/lang/InternalError";
+            reenter!(interp::throw_vm(state, frames, ctx, tid, internal, &msg));
+        };
+        let class = blob.class;
+        // A local slice keeps the ops' base pointer in a register across
+        // the loop; indexing through `code` each time cost nqueens ~25%
+        // host time.
+        let ops = &code.ops[..];
+
+        // The executing frame again, after a helper that took the stack.
+        macro_rules! refetch {
+            () => {
+                fr = frames.last_mut().expect("executing frame")
+            };
+        }
+        // Point the frame at the current instruction, so a throw dispatches
+        // and a blocked instruction retries from there.
+        macro_rules! anchor {
+            () => {
+                fr.pc = code.pcs[ip] as usize
+            };
+        }
+        macro_rules! throw {
+            ($class:expr, $msg:expr) => {{
+                let msg: &str = $msg;
+                anchor!();
+                tally.settle(state);
+                reenter!(interp::throw_vm(state, frames, ctx, tid, $class, msg))
+            }};
+        }
+        // §6.1: the suspend check, where a frame was pushed or popped and at
+        // checked backedges. Only a hosted run makes it, and it reads the
+        // clock, so only a hosted run settles here.
+        macro_rules! boundary {
+            () => {
+                if state.hosted {
+                    tally.settle(state);
+                    if let sr @ StepResult::Suspend = interp::suspend_check(state, ctx) {
+                        break 'frames sr;
+                    }
+                }
+            };
+        }
+        // A taken branch. Backward edges take the §6.1 suspend check when
+        // `check_backedges` is on.
+        macro_rules! branch {
+            ($t:expr) => {{
+                let t: Target = $t;
+                if t.back && state.check_backedges {
+                    fr.pc = code.pcs[t.ip as usize] as usize;
+                    tally.add(Cost::IntOp);
+                    boundary!();
+                }
+                ip = t.ip as usize;
+                continue;
+            }};
+        }
+        // The op's field, resolved on a miss; `$owned` keeps a resolution
+        // that was not quickened alive for this execution.
+        macro_rules! field {
+            ($cell:expr, $idx:expr, $is_static:expr, $owned:ident) => {
+                match $cell.get() {
+                    Some(f) => {
+                        state.perf.cp_hit.inc();
+                        f
+                    }
+                    None => {
+                        anchor!();
+                        tally.settle(state);
+                        let r = interp::resolve_field(
+                            state, frames, ctx, tid, *$idx, $is_static, $cell,
+                        );
+                        $owned = match r {
+                            Ok(f) => f,
+                            Err(sr) => reenter!(sr),
+                        };
+                        refetch!();
+                        &$owned
+                    }
+                }
+            };
+        }
+
+        loop {
+            tally.add(Cost::Dispatch);
+            // Ops that fall through end at the `ip += 1` below the match.
+            match &ops[ip] {
+                Op::Nop => {}
+                Op::Const { v, cost } => {
+                    if let Some(c) = cost {
+                        tally.add(*c);
+                    }
+                    fr.push(*v);
+                }
+                Op::Ldc { idx, value } => {
+                    let v = match value.get() {
+                        Some(v) => {
+                            interp::ldc_hit(state, *v);
+                            *v
+                        }
+                        None => {
+                            anchor!();
+                            tally.settle(state);
+                            let v = match interp::ldc(state, frames, ctx, tid, *idx, value) {
+                                Ok(v) => v,
+                                Err(sr) => reenter!(sr),
+                            };
+                            refetch!();
+                            v
+                        }
+                    };
+                    fr.push(v);
+                }
+                Op::Load { slot, cost } => {
+                    tally.add(*cost);
+                    fr.push(fr.local(*slot as usize));
+                }
+                Op::Store { slot, cost } => {
+                    tally.add(*cost);
+                    let v = fr.pop();
+                    fr.set_local(*slot as usize, v);
+                }
+                Op::WideLoad { slot } => {
+                    fr.push(fr.local(*slot as usize));
+                }
+                Op::WideStore { slot } => {
+                    let v = fr.pop();
+                    fr.set_local(*slot as usize, v);
+                }
+                Op::WideIinc { slot, delta } => {
+                    let v = fr.local(*slot as usize).as_int();
+                    fr.set_local(*slot as usize, Value::Int(v.wrapping_add(*delta)));
+                }
+
+                Op::ArrLoad => {
+                    tally.add(Cost::ArrayGet);
+                    let (index, arr) = (fr.pop_int(), fr.pop_ref());
+                    let Some(arr) = arr else {
+                        throw!("java/lang/NullPointerException", "array load");
+                    };
+                    let len = state.heap.get(arr).array_len().unwrap_or(0);
+                    if index < 0 || index as usize >= len {
+                        throw!(
+                            "java/lang/ArrayIndexOutOfBoundsException",
+                            &format!("index {index}, length {len}")
+                        );
+                    }
+                    let i = index as usize;
+                    let v = match state.heap.get(arr) {
+                        HeapObj::ArrayInt(v) => Value::Int(v[i]),
+                        HeapObj::ArrayLong(v) => Value::Long(v[i]),
+                        HeapObj::ArrayFloat(v) => Value::Float(v[i]),
+                        HeapObj::ArrayDouble(v) => Value::Double(v[i]),
+                        HeapObj::ArrayByte(v) => Value::Int(v[i] as i32),
+                        HeapObj::ArrayChar(v) => Value::Int(v[i] as i32),
+                        HeapObj::ArrayShort(v) => Value::Int(v[i] as i32),
+                        HeapObj::ArrayRef { data, .. } => Value::Ref(data[i]),
+                        _ => throw!("java/lang/InternalError", "not an array"),
+                    };
+                    fr.push(v);
+                }
+                Op::ArrStore => {
+                    tally.add(Cost::ArrayPut);
+                    let (value, index, arr) = (fr.pop(), fr.pop_int(), fr.pop_ref());
+                    let Some(arr) = arr else {
+                        throw!("java/lang/NullPointerException", "array store");
+                    };
+                    let len = state.heap.get(arr).array_len().unwrap_or(0);
+                    if index < 0 || index as usize >= len {
+                        throw!(
+                            "java/lang/ArrayIndexOutOfBoundsException",
+                            &format!("index {index}, length {len}")
+                        );
+                    }
+                    let i = index as usize;
+                    match (state.heap.get_mut(arr), value) {
+                        (HeapObj::ArrayInt(v), Value::Int(x)) => v[i] = x,
+                        (HeapObj::ArrayLong(v), Value::Long(x)) => v[i] = x,
+                        (HeapObj::ArrayFloat(v), Value::Float(x)) => v[i] = x,
+                        (HeapObj::ArrayDouble(v), Value::Double(x)) => v[i] = x,
+                        (HeapObj::ArrayByte(v), Value::Int(x)) => v[i] = x as i8,
+                        (HeapObj::ArrayChar(v), Value::Int(x)) => v[i] = x as u16,
+                        (HeapObj::ArrayShort(v), Value::Int(x)) => v[i] = x as i16,
+                        (HeapObj::ArrayRef { data, .. }, Value::Ref(r)) => data[i] = r,
+                        _ => throw!("java/lang/ArrayStoreException", "element type mismatch"),
+                    }
+                }
+
+                // Stack shuffles work on slots (§6.1's explicit arrays).
+                Op::Pop1 => {
+                    fr.pop_slot();
+                }
+                Op::Pop2 => {
+                    fr.pop_slot();
+                    fr.pop_slot();
+                }
+                Op::Dup => {
+                    let v = *fr.peek(0);
+                    fr.stack.push(v);
+                }
+                Op::DupX1 => {
+                    let (v1, v2) = (fr.pop_slot(), fr.pop_slot());
+                    fr.stack.extend([v1, v2, v1]);
+                }
+                Op::DupX2 => {
+                    let (v1, v2, v3) = (fr.pop_slot(), fr.pop_slot(), fr.pop_slot());
+                    fr.stack.extend([v1, v3, v2, v1]);
+                }
+                Op::Dup2 => {
+                    let (v1, v2) = (*fr.peek(0), *fr.peek(1));
+                    fr.stack.extend([v2, v1]);
+                }
+                Op::Dup2X1 => {
+                    let (v1, v2, v3) = (fr.pop_slot(), fr.pop_slot(), fr.pop_slot());
+                    fr.stack.extend([v2, v1, v3, v2, v1]);
+                }
+                Op::Dup2X2 => {
+                    let (v1, v2, v3, v4) =
+                        (fr.pop_slot(), fr.pop_slot(), fr.pop_slot(), fr.pop_slot());
+                    fr.stack.extend([v2, v1, v4, v3, v2, v1]);
+                }
+                Op::Swap => {
+                    let (v1, v2) = (fr.pop_slot(), fr.pop_slot());
+                    fr.stack.extend([v1, v2]);
+                }
+
+                Op::IntBin { op: bop } => {
+                    tally.add(Cost::IntOp);
+                    let (b, a) = (fr.pop_int(), fr.pop_int());
+                    fr.push(Value::Int(int_bin(*bop, a, b)));
+                }
+                Op::IntDivRem { rem } => {
+                    tally.add(Cost::IntOp);
+                    let (b, a) = (fr.pop_int(), fr.pop_int());
+                    if b == 0 {
+                        throw!("java/lang/ArithmeticException", "/ by zero");
+                    }
+                    let r = if *rem {
+                        a.wrapping_rem(b)
+                    } else {
+                        a.wrapping_div(b)
+                    };
+                    fr.push(Value::Int(r));
+                }
+                Op::IntNeg => {
+                    tally.add(Cost::IntOp);
+                    let a = fr.pop_int();
+                    fr.push(Value::Int(a.wrapping_neg()));
+                }
+                Op::LongBin { op: bop } => {
+                    tally.add(Cost::LongOp);
+                    let (b, a) = (fr.pop_long(), fr.pop_long());
+                    fr.push(Value::Long(match *bop {
+                        op::LADD => a.wrapping_add(b),
+                        op::LSUB => a.wrapping_sub(b),
+                        op::LMUL => a.wrapping_mul(b),
+                        op::LAND => a & b,
+                        op::LOR => a | b,
+                        _ => a ^ b,
+                    }));
+                }
+                Op::LongDivRem { rem } => {
+                    tally.add(Cost::LongOp);
+                    let (b, a) = (fr.pop_long(), fr.pop_long());
+                    if b == 0 {
+                        throw!("java/lang/ArithmeticException", "/ by zero");
+                    }
+                    let r = if *rem {
+                        a.wrapping_rem(b)
+                    } else {
+                        a.wrapping_div(b)
+                    };
+                    fr.push(Value::Long(r));
+                }
+                Op::LongShift { op: bop } => {
+                    tally.add(Cost::LongOp);
+                    let (s, a) = (fr.pop_int() as u32 & 63, fr.pop_long());
+                    fr.push(Value::Long(match *bop {
+                        op::LSHL => a.wrapping_shl(s),
+                        op::LSHR => a.wrapping_shr(s),
+                        _ => ((a as u64).wrapping_shr(s)) as i64,
+                    }));
+                }
+                Op::LongNeg => {
+                    tally.add(Cost::LongOp);
+                    let a = fr.pop_long();
+                    fr.push(Value::Long(a.wrapping_neg()));
+                }
+                Op::FloatBin { op: bop } => {
+                    tally.add(Cost::FloatOp);
+                    let (b, a) = (fr.pop_float(), fr.pop_float());
+                    fr.push(Value::Float(match *bop {
+                        op::FADD => a + b,
+                        op::FSUB => a - b,
+                        op::FMUL => a * b,
+                        op::FDIV => a / b,
+                        _ => a % b,
+                    }));
+                }
+                Op::DoubleBin { op: bop } => {
+                    tally.add(Cost::FloatOp);
+                    let (b, a) = (fr.pop_double(), fr.pop_double());
+                    fr.push(Value::Double(match *bop {
+                        op::DADD => a + b,
+                        op::DSUB => a - b,
+                        op::DMUL => a * b,
+                        op::DDIV => a / b,
+                        _ => a % b,
+                    }));
+                }
+                Op::FloatNeg => {
+                    tally.add(Cost::FloatOp);
+                    let a = fr.pop_float();
+                    fr.push(Value::Float(-a));
+                }
+                Op::DoubleNeg => {
+                    tally.add(Cost::FloatOp);
+                    let a = fr.pop_double();
+                    fr.push(Value::Double(-a));
+                }
+                Op::Iinc { slot, delta } => {
+                    tally.add(Cost::IntOp);
+                    let v = fr.local(*slot as usize).as_int();
+                    fr.set_local(*slot as usize, Value::Int(v.wrapping_add(*delta)));
+                }
+                Op::Conv { op: cop, cost } => {
+                    tally.add(*cost);
+                    let v = match *cop {
+                        op::I2L => Value::Long(fr.pop_int() as i64),
+                        op::I2F => Value::Float(fr.pop_int() as f32),
+                        op::I2D => Value::Double(fr.pop_int() as f64),
+                        op::L2I => Value::Int(fr.pop_long() as i32),
+                        op::L2F => Value::Float(fr.pop_long() as f32),
+                        op::L2D => Value::Double(fr.pop_long() as f64),
+                        op::F2I => Value::Int(f2i(fr.pop_float() as f64)),
+                        op::F2L => Value::Long(f2l(fr.pop_float() as f64)),
+                        op::F2D => Value::Double(fr.pop_float() as f64),
+                        op::D2I => Value::Int(f2i(fr.pop_double())),
+                        op::D2L => Value::Long(f2l(fr.pop_double())),
+                        op::D2F => Value::Float(fr.pop_double() as f32),
+                        op::I2B => Value::Int(fr.pop_int() as i8 as i32),
+                        op::I2C => Value::Int(fr.pop_int() as u16 as i32),
+                        _ => Value::Int(fr.pop_int() as i16 as i32),
+                    };
+                    fr.push(v);
+                }
+                Op::Lcmp => {
+                    tally.add(Cost::LongOp);
+                    let (b, a) = (fr.pop_long(), fr.pop_long());
+                    fr.push(Value::Int(a.cmp(&b) as i32));
+                }
+                Op::Fcmp { greater_on_nan } => {
+                    tally.add(Cost::FloatOp);
+                    let (b, a) = (fr.pop_float(), fr.pop_float());
+                    fr.push(Value::Int(fp_cmp(a as f64, b as f64, *greater_on_nan)));
+                }
+                Op::Dcmp { greater_on_nan } => {
+                    tally.add(Cost::FloatOp);
+                    let (b, a) = (fr.pop_double(), fr.pop_double());
+                    fr.push(Value::Int(fp_cmp(a, b, *greater_on_nan)));
+                }
+
+                Op::If0 { cond, t } => {
+                    tally.add(Cost::Branch);
+                    let v = fr.pop_int();
+                    let taken = match *cond {
+                        op::IFEQ => v == 0,
+                        op::IFNE => v != 0,
+                        op::IFLT => v < 0,
+                        op::IFGE => v >= 0,
+                        op::IFGT => v > 0,
+                        _ => v <= 0,
+                    };
+                    if taken {
+                        branch!(*t);
+                    }
+                }
+                Op::IfICmp { cond, t } => {
+                    tally.add(Cost::Branch);
+                    let (b, a) = (fr.pop_int(), fr.pop_int());
+                    let taken = match *cond {
+                        op::IF_ICMPEQ => a == b,
+                        op::IF_ICMPNE => a != b,
+                        op::IF_ICMPLT => a < b,
+                        op::IF_ICMPGE => a >= b,
+                        op::IF_ICMPGT => a > b,
+                        _ => a <= b,
+                    };
+                    if taken {
+                        branch!(*t);
+                    }
+                }
+                Op::IfACmp { eq, t } => {
+                    tally.add(Cost::Branch);
+                    let (b, a) = (fr.pop_ref(), fr.pop_ref());
+                    if (a == b) == *eq {
+                        branch!(*t);
+                    }
+                }
+                Op::IfNull { when_null, t } => {
+                    tally.add(Cost::Branch);
+                    if fr.pop_ref().is_none() == *when_null {
+                        branch!(*t);
+                    }
+                }
+                Op::Goto { t } => {
+                    tally.add(Cost::Branch);
+                    branch!(*t);
+                }
+                Op::Jsr { t } => {
+                    let ret = code.pcs[ip + 1] as usize;
+                    fr.push(Value::RetAddr(ret));
+                    branch!(*t);
+                }
+                Op::Ret { slot } => {
+                    let Value::RetAddr(to) = fr.local(*slot as usize) else {
+                        let msg =
+                            format!("ret of non-returnAddress {:?}", fr.local(*slot as usize));
+                        throw!("java/lang/InternalError", &msg);
+                    };
+                    fr.pc = to;
+                    if to < code.pcs[ip] as usize && state.check_backedges {
+                        tally.add(Cost::IntOp);
+                        boundary!();
+                    }
+                    // Go on at the return address (an op head, or an
+                    // InternalError for a forged one).
+                    continue 'frames;
+                }
+                Op::TableSwitch(sw) => {
+                    tally.add(Cost::Branch);
+                    let k = i64::from(fr.pop_int()) - i64::from(sw.low);
+                    branch!(usize::try_from(k)
+                        .ok()
+                        .and_then(|k| sw.targets.get(k))
+                        .copied()
+                        .unwrap_or(sw.default));
+                }
+                Op::LookupSwitch(sw) => {
+                    tally.add(Cost::Branch);
+                    let v = fr.pop_int();
+                    branch!(sw
+                        .pairs
+                        .iter()
+                        .find(|(key, _)| *key == v)
+                        .map_or(sw.default, |&(_, t)| t));
+                }
+                Op::Return { has_value } => {
+                    let value = has_value.then(|| fr.pop());
+                    if fr.held_monitor.is_some() {
+                        // Releasing the monitor can wake a waiter, which
+                        // schedules at the current virtual time.
+                        tally.settle(state);
+                    }
+                    interp::pop_frame(state, frames, ctx, tid);
+                    let Some(caller) = frames.last_mut() else {
+                        break 'frames StepResult::Finished;
+                    };
+                    if let Some(v) = value {
+                        caller.push(v);
+                    }
+                    boundary!();
+                    continue 'frames;
+                }
+
+                Op::GetStatic { idx, field } => {
+                    let owned;
+                    let f = field!(field, idx, true, owned);
+                    tally.add(Cost::MapOp);
+                    tally.add(Cost::FieldGet);
+                    let statics = &state.registry.get(f.class).statics;
+                    let v = statics.get(&*f.key).copied().unwrap_or(f.default);
+                    fr.push(v);
+                }
+                Op::PutStatic { idx, field } => {
+                    let owned;
+                    let f = field!(field, idx, true, owned);
+                    tally.add(Cost::MapOp);
+                    tally.add(Cost::FieldPut);
+                    let v = fr.pop();
+                    let statics = &mut state.registry.get_mut(f.class).statics;
+                    if let Some(slot) = statics.get_mut(&*f.key) {
+                        *slot = v;
+                    } else {
+                        statics.insert(f.key.to_string(), v);
+                    }
+                }
+                Op::GetField { idx, field } => {
+                    let owned;
+                    let f = field!(field, idx, false, owned);
+                    tally.add(Cost::MapOp);
+                    tally.add(Cost::FieldGet);
+                    let Some(obj) = fr.pop_ref() else {
+                        throw!(
+                            "java/lang/NullPointerException",
+                            &format!("getfield {}", f.key)
+                        );
+                    };
+                    fr.push(get_field(state, obj, f));
+                }
+                Op::PutField { idx, field } => {
+                    let owned;
+                    let f = field!(field, idx, false, owned);
+                    tally.add(Cost::MapOp);
+                    tally.add(Cost::FieldPut);
+                    let (v, obj) = (fr.pop(), fr.pop_ref());
+                    let Some(obj) = obj else {
+                        throw!(
+                            "java/lang/NullPointerException",
+                            &format!("putfield {}", f.key)
+                        );
+                    };
+                    put_field(state, obj, f, v);
+                }
+
+                Op::Invoke { opcode, idx, site } => {
+                    anchor!();
+                    tally.add(Cost::Call);
+                    let site = match site.get() {
+                        Some(s) => {
+                            state.perf.cp_hit.inc();
+                            s
+                        }
+                        None => {
+                            tally.settle(state);
+                            match interp::call_site(state, frames, ctx, tid, *idx, site) {
+                                Ok(s) => s,
+                                Err(sr) => reenter!(sr),
+                            }
+                        }
+                    };
+                    let next_pc = code.pcs[ip + 1] as usize;
+                    reenter!(interp::invoke_with_site(
+                        state, frames, ctx, *opcode, next_pc, site, &mut tally
+                    ));
+                }
+                Op::New { idx, class: id } => {
+                    let id = match id.get() {
+                        Some(id) => {
+                            state.perf.cp_hit.inc();
+                            *id
+                        }
+                        None => {
+                            anchor!();
+                            tally.settle(state);
+                            let id = match interp::new_class(state, frames, ctx, tid, *idx, id) {
+                                Ok(id) => id,
+                                Err(sr) => reenter!(sr),
+                            };
+                            refetch!();
+                            id
+                        }
+                    };
+                    // Only charges: nothing here reads the clock.
+                    let r = interp::alloc_instance(state, id);
+                    fr.push(Value::Ref(Some(r)));
+                }
+                Op::NewArray { atype } => {
+                    tally.add(Cost::Alloc);
+                    let len = fr.pop_int();
+                    if len < 0 {
+                        throw!("java/lang/NegativeArraySizeException", &len.to_string());
+                    }
+                    // DoppioJVM backs binary arrays (boolean[], char[], byte[])
+                    // with typed arrays; register the allocation so Safari's
+                    // leak model (§7.1) sees JVM-level buffer churn too. The
+                    // matching free models the JS garbage collector.
+                    if matches!(atype, 4 | 5 | 8) && state.engine.profile().has_typed_arrays {
+                        // Residency sets the paging penalty of every charge.
+                        tally.settle(state);
+                        let bytes = len as usize * if *atype == 5 { 2 } else { 1 };
+                        state.engine.typed_array_alloc(bytes);
+                        state.engine.typed_array_free(bytes);
+                    }
+                    let Some(r) = state.heap.alloc_primitive_array(*atype, len as usize) else {
+                        throw!("java/lang/InternalError", "bad atype");
+                    };
+                    fr.push(Value::Ref(Some(r)));
+                }
+                Op::ANewArray { idx, class: cc } => {
+                    tally.add(Cost::Alloc);
+                    if cc.get().is_none() {
+                        tally.settle(state);
+                    }
+                    let component = match interp::class_const(state, ctx, class, *idx, cc) {
+                        Ok(cc) => cc.name.to_string(),
+                        Err(msg) => throw!("java/lang/InternalError", &msg),
+                    };
+                    let len = fr.pop_int();
+                    if len < 0 {
+                        throw!("java/lang/NegativeArraySizeException", &len.to_string());
+                    }
+                    let r = state.heap.alloc(HeapObj::ArrayRef {
+                        component,
+                        data: vec![None; len as usize],
+                    });
+                    fr.push(Value::Ref(Some(r)));
+                }
+                Op::MultiANewArray {
+                    idx,
+                    dims,
+                    class: cc,
+                } => {
+                    tally.add(Cost::Alloc);
+                    if cc.get().is_none() {
+                        tally.settle(state);
+                    }
+                    let desc = match interp::class_const(state, ctx, class, *idx, cc) {
+                        Ok(cc) => cc.name.clone(),
+                        Err(msg) => throw!("java/lang/InternalError", &msg),
+                    };
+                    let mut sizes = vec![0i32; *dims as usize];
+                    for s in sizes.iter_mut().rev() {
+                        *s = fr.pop_int();
+                    }
+                    if sizes.iter().any(|&s| s < 0) {
+                        throw!("java/lang/NegativeArraySizeException", "multianewarray");
+                    }
+                    let r = interp::alloc_multi(state, &desc, &sizes);
+                    fr.push(Value::Ref(Some(r)));
+                }
+                Op::ArrayLength => {
+                    tally.add(Cost::IntOp);
+                    let Some(arr) = fr.pop_ref() else {
+                        throw!("java/lang/NullPointerException", "arraylength");
+                    };
+                    let Some(len) = state.heap.get(arr).array_len() else {
+                        throw!("java/lang/InternalError", "not an array");
+                    };
+                    fr.push(Value::Int(len as i32));
+                }
+                Op::Athrow => {
+                    let Some(ex) = fr.pop_ref() else {
+                        throw!("java/lang/NullPointerException", "athrow null");
+                    };
+                    anchor!();
+                    tally.settle(state);
+                    reenter!(interp::dispatch_exception(state, frames, ctx, tid, ex));
+                }
+                Op::TypeCheck {
+                    idx,
+                    instanceof,
+                    class: cc,
+                } => {
+                    anchor!();
+                    if cc.get().is_none() {
+                        tally.settle(state);
+                    }
+                    let target = match interp::class_const(state, ctx, class, *idx, cc) {
+                        Ok(cc) => cc.name.clone(),
+                        Err(msg) => throw!("java/lang/InternalError", &msg),
+                    };
+                    tally.add(Cost::MapOp);
+                    // null passes checkcast and fails instanceof.
+                    let r = fr.peek(0).as_ref();
+                    let matches = match r {
+                        None => !instanceof,
+                        Some(obj) => match interp::runtime_class_of(state, obj) {
+                            Ok(cid) => state.registry.is_assignable(cid, &target),
+                            Err(sr) => break 'frames sr,
+                        },
+                    };
+                    if *instanceof {
+                        fr.pop_ref();
+                        fr.push(Value::Int(i32::from(matches && r.is_some())));
+                    } else if !matches {
+                        let name = r
+                            .and_then(|o| interp::runtime_class_of(state, o).ok())
+                            .map(|c| state.registry.get(c).name.clone())
+                            .unwrap_or_default();
+                        throw!(
+                            "java/lang/ClassCastException",
+                            &format!("{name} cannot be cast to {target}")
+                        );
+                    }
+                }
+                Op::MonitorEnter => {
+                    let Some(&Value::Ref(obj)) = fr.stack.last() else {
+                        throw!("java/lang/InternalError", "monitorenter");
+                    };
+                    let Some(obj) = obj else {
+                        throw!("java/lang/NullPointerException", "monitorenter");
+                    };
+                    // Monitor bookkeeping can trace at the current time.
+                    tally.settle(state);
+                    if !interp::try_enter_monitor(state, ctx, obj, tid) {
+                        interp::queue_on_monitor(state, obj, tid);
+                        anchor!();
+                        break 'frames StepResult::MonitorBlocked(obj); // retry when woken
+                    }
+                    fr.pop_ref();
+                }
+                Op::MonitorExit => {
+                    let Some(obj) = fr.pop_ref() else {
+                        throw!("java/lang/NullPointerException", "monitorexit");
+                    };
+                    tally.settle(state);
+                    if let Err(msg) = interp::exit_monitor(state, ctx, obj, tid) {
+                        throw!("java/lang/IllegalMonitorStateException", &msg);
+                    }
+                }
+                Op::Invalid(msg) => throw!("java/lang/InternalError", msg),
+
+                Op::LoadLoadIntBin { a, b, op: bop } => {
+                    tally.add(Cost::IntOp);
+                    fr.push(fr.local(*a as usize));
+                    tally.add(Cost::Dispatch);
+                    tally.add(Cost::IntOp);
+                    fr.push(fr.local(*b as usize));
+                    tally.add(Cost::Dispatch);
+                    tally.add(Cost::IntOp);
+                    let (y, x) = (fr.pop_int(), fr.pop_int());
+                    fr.push(Value::Int(int_bin(*bop, x, y)));
+                    ip += 2;
+                }
+                Op::IincGoto { slot, delta, t } => {
+                    tally.add(Cost::IntOp);
+                    let v = fr.local(*slot as usize).as_int();
+                    fr.set_local(*slot as usize, Value::Int(v.wrapping_add(*delta)));
+                    tally.add(Cost::Dispatch);
+                    tally.add(Cost::Branch);
+                    branch!(*t);
+                }
+                Op::LoadGetfield { slot } => {
+                    tally.add(Cost::IntOp);
+                    fr.push(fr.local(*slot as usize));
+                    if let Op::GetField { field, .. } = &ops[ip + 1] {
+                        if let Some(field) = field.get() {
+                            ip += 1;
+                            tally.add(Cost::Dispatch);
+                            state.perf.cp_hit.inc();
+                            tally.add(Cost::MapOp);
+                            tally.add(Cost::FieldGet);
+                            let Some(obj) = fr.pop_ref() else {
+                                throw!(
+                                    "java/lang/NullPointerException",
+                                    &format!("getfield {}", field.key)
+                                );
+                            };
+                            fr.push(get_field(state, obj, field));
+                        }
+                    }
+                }
+            }
+            ip += 1;
+        }
+    };
+    tally.settle(state);
+    sr
 }
 
 /// Read `field` of object `obj`: its slot when the receiver's layout

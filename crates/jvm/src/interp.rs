@@ -1,8 +1,8 @@
 //! The interpreter's runtime (§6): resolution, invocation, exceptions,
 //! monitors and allocation.
 //!
-//! [`run`] executes the top frame of a thread's explicit frame stack
-//! through its decoded op stream (see [`crate::exec`]). Anything that
+//! The executor ([`crate::exec`]) runs a thread's explicit frame stack
+//! and calls in here for everything beyond one op. Anything that
 //! cannot complete synchronously — a class that must be downloaded, a
 //! native method waiting on an asynchronous browser API, a contended
 //! monitor — is reported to the hosting thread, which suspends through
@@ -23,7 +23,7 @@ use doppio_jsengine::Cost;
 use doppio_trace::cat;
 
 use crate::class::{ClassConst, ClassId, ClinitState, CpEntry, ResolvedField};
-use crate::exec;
+use crate::exec::Tally;
 use crate::frame::Frame;
 use crate::natives::{self, NativeCtx, PendingNative};
 use crate::object::HeapObj;
@@ -32,10 +32,13 @@ use crate::value::{ObjRef, Value};
 
 /// Why the interpreter handed control back to the hosting thread.
 pub enum StepResult {
-    /// Keep running: re-enter the top frame at its pc.
+    /// Keep running the top frame at its pc: an exception found its
+    /// handler, or a call boundary passed its §6.1 suspend check. Only
+    /// the runtime's helpers return it; the executor never does.
     Continue,
-    /// A frame was pushed or popped: the §6.1 suspend-check boundary.
-    CallBoundary,
+    /// A §6.1 suspend check fired at a call boundary: end the slice and
+    /// resume the top frame at its pc.
+    Suspend,
     /// A class must be loaded before the instruction can retry.
     NeedClass(String),
     /// A native method blocked on an asynchronous API (§4.2); resume
@@ -56,62 +59,42 @@ pub enum StepResult {
     Exit(i32),
 }
 
-/// Run the top frame until the thread must leave the interpreter: the
-/// hosting thread's slice loop calls this, and sees only results other
-/// than `Continue`.
-///
-/// A method is decoded the first time one of its frames runs. A method
-/// the decoder rejects throws `java/lang/InternalError` at its
-/// invocation: its frame is popped unrun and the error dispatched from
-/// the caller.
-pub fn run(
-    state: &mut JvmState,
-    frames: &mut Vec<Frame>,
-    ctx: &mut ThreadContext<'_>,
-    tid: ThreadId,
-) -> StepResult {
-    loop {
-        let Some(frame) = frames.last() else {
-            return StepResult::Finished;
-        };
-        let blob = frame.code.clone();
-        let sr = match blob.ops() {
-            Ok(code) => exec::execute(state, frames, ctx, tid, blob.class, code),
-            Err(why) => {
-                let msg = format!(
-                    "{}.{}: {why}",
-                    state.registry.get(blob.class).name,
-                    blob.name
-                );
-                pop_frame(state, frames, ctx, tid);
-                throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg)
-            }
-        };
-        if !matches!(sr, StepResult::Continue) {
-            return sr;
-        }
+/// §6.1's suspend check, made where a frame was pushed or popped or a
+/// native returned normally: `Suspend` if the thread should yield, else
+/// `Continue`. It advances the adaptive suspend counter, so it runs once
+/// per boundary; it reads the clock, so the executor's tally must be
+/// settled first. Only a hosted run (one with a watchdog) checks.
+pub(crate) fn suspend_check(state: &JvmState, ctx: &mut ThreadContext<'_>) -> StepResult {
+    if state.hosted && ctx.should_suspend() {
+        StepResult::Suspend
+    } else {
+        StepResult::Continue
     }
 }
 
 /// The runtime class id of a heap object.
 pub fn runtime_class_of(state: &mut JvmState, obj: ObjRef) -> Result<ClassId, StepResult> {
-    let name = match state.heap.get(obj) {
+    let (which, name) = match state.heap.get(obj) {
         HeapObj::Instance { class, .. } => return Ok(*class),
-        HeapObj::JavaString(_) => "java/lang/String".to_string(),
-        HeapObj::StringBuilder(_) => "java/lang/StringBuilder".to_string(),
-        other => other.array_class_name().expect("array"),
+        HeapObj::JavaString(_) => (0, "java/lang/String"),
+        HeapObj::StringBuilder(_) => (1, "java/lang/StringBuilder"),
+        other => {
+            let name = other.array_class_name().expect("array");
+            return state
+                .registry
+                .ensure_array_class(&name)
+                .map_err(|_| StepResult::NeedClass(name));
+        }
     };
-    if name.starts_with('[') {
-        state
-            .registry
-            .ensure_array_class(&name)
-            .map_err(|_| StepResult::NeedClass(name))
-    } else {
-        state
-            .registry
-            .lookup(&name)
-            .ok_or(StepResult::NeedClass(name))
+    if let Some(id) = state.string_classes[which] {
+        return Ok(id);
     }
+    let id = state
+        .registry
+        .lookup(name)
+        .ok_or_else(|| StepResult::NeedClass(name.to_string()))?;
+    state.string_classes[which] = Some(id);
+    Ok(id)
 }
 
 /// Look up a class, requesting a load if undefined.
@@ -351,7 +334,7 @@ pub(crate) fn resolve_field(
     let class_id = ensure_class(state, &cname)?;
     if is_static {
         if let InitAction::Pushed = ensure_initialized(state, frames, tid, class_id) {
-            return Err(StepResult::CallBoundary);
+            return Err(suspend_check(state, ctx));
         }
     }
     let Some(resolved) = state.registry.resolve_field(class_id, &fname) else {
@@ -424,7 +407,7 @@ pub(crate) fn new_class(
     };
     let class_id = ensure_class(state, &cc.name)?;
     if let InitAction::Pushed = ensure_initialized(state, frames, tid, class_id) {
-        return Err(StepResult::CallBoundary);
+        return Err(suspend_check(state, ctx));
     }
     if matches!(
         state.registry.get(class_id).clinit,
@@ -816,7 +799,7 @@ pub fn dispatch_exception(
 
 /// Pop the top frame: a `<clinit>` counts as finished, and a
 /// synchronized method releases its monitor.
-fn pop_frame(
+pub(crate) fn pop_frame(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
     ctx: &mut ThreadContext<'_>,
@@ -836,38 +819,30 @@ fn pop_frame(
 // Calls and returns
 // ----------------------------------------------------------------
 
-/// Pop a frame, delivering `value` to the caller.
-pub fn do_return(
-    state: &mut JvmState,
-    frames: &mut Vec<Frame>,
-    ctx: &mut ThreadContext<'_>,
-    tid: ThreadId,
-    value: Option<Value>,
-) -> StepResult {
-    pop_frame(state, frames, ctx, tid);
-    match frames.last_mut() {
-        None => StepResult::Finished,
-        Some(caller) => {
-            if let Some(v) = value {
-                caller.push(v);
-            }
-            StepResult::CallBoundary
-        }
-    }
-}
-
 /// The body of an invoke once its call site is decoded: dispatch,
-/// synchronization, argument transfer and the frame push. Returns to
-/// `next_pc` in the caller.
+/// synchronization, argument transfer, and the frame push or native
+/// call with its §6.1 suspend check. Returns to `next_pc` in the caller.
+///
+/// The executor's `tally` settles before anything here reads the clock:
+/// cache misses (traced), monitors, throws, natives and, in hosted runs,
+/// the suspend check. A bytecode-to-bytecode call through a warm cache
+/// in an unhosted run reads nothing and leaves it unsettled.
 pub(crate) fn invoke_with_site(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
     ctx: &mut ThreadContext<'_>,
-    tid: ThreadId,
     opcode: u8,
     next_pc: usize,
     site: &Rc<CallSite>,
+    tally: &mut Tally,
 ) -> StepResult {
+    let tid = ctx.thread_id();
+    macro_rules! throw {
+        ($class:expr, $msg:expr) => {{
+            tally.settle(state);
+            return throw_vm(state, frames, ctx, tid, $class, $msg);
+        }};
+    }
     let arg_slots = site.arg_slots;
     let has_receiver = opcode != op::INVOKESTATIC;
     let total_slots = arg_slots + usize::from(has_receiver);
@@ -881,7 +856,7 @@ pub(crate) fn invoke_with_site(
             site.desc,
             caller_stack.len()
         );
-        return throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg);
+        throw!("java/lang/InternalError", &msg);
     };
     // The receiver, under the arguments.
     let recv = caller_stack.get(split).copied().filter(|_| has_receiver);
@@ -892,20 +867,12 @@ pub(crate) fn invoke_with_site(
         let recv = match recv {
             Some(Value::Ref(Some(r))) => r,
             Some(Value::Ref(None)) => {
-                let msg = format!("invoke {}", site.name);
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
+                throw!(
                     "java/lang/NullPointerException",
-                    &msg,
+                    &format!("invoke {}", site.name)
                 );
             }
-            other => {
-                let msg = format!("receiver is {other:?}");
-                return throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg);
-            }
+            other => throw!("java/lang/InternalError", &format!("receiver is {other:?}")),
         };
         let runtime_class = match runtime_class_of(state, recv) {
             Ok(c) => c,
@@ -921,6 +888,7 @@ pub(crate) fn invoke_with_site(
                 (t, flags)
             }
             _ => {
+                tally.settle(state);
                 note_ic_miss(state, ctx, &site.name);
                 if site.ref_class.get().is_none() {
                     match ensure_class(state, &site.cname) {
@@ -935,7 +903,7 @@ pub(crate) fn invoke_with_site(
                     .select_virtual(runtime_class, &site.name, &site.desc)
                 else {
                     let msg = format!("{}.{}{}", site.cname, site.name, site.desc);
-                    return throw_vm(state, frames, ctx, tid, "java/lang/NoSuchMethodError", &msg);
+                    throw!("java/lang/NoSuchMethodError", &msg);
                 };
                 let flags = method_flags_of(state, t);
                 site.mono.set(Some((runtime_class, t, flags)));
@@ -946,14 +914,9 @@ pub(crate) fn invoke_with_site(
         if opcode == op::INVOKESPECIAL {
             // invokespecial still null-checks its receiver.
             if matches!(recv, Some(Value::Ref(None))) {
-                let msg = format!("invokespecial {}", site.name);
-                return throw_vm(
-                    state,
-                    frames,
-                    ctx,
-                    tid,
+                throw!(
                     "java/lang/NullPointerException",
-                    &msg,
+                    &format!("invokespecial {}", site.name)
                 );
             }
         }
@@ -965,6 +928,7 @@ pub(crate) fn invoke_with_site(
                 (t, flags)
             }
             None => {
+                tally.settle(state);
                 note_ic_miss(state, ctx, &site.name);
                 let ref_class = match site.ref_class.get() {
                     Some(id) => id,
@@ -979,7 +943,7 @@ pub(crate) fn invoke_with_site(
                 if opcode == op::INVOKESTATIC {
                     match ensure_initialized(state, frames, tid, ref_class) {
                         InitAction::Ready => {}
-                        InitAction::Pushed => return StepResult::CallBoundary,
+                        InitAction::Pushed => return suspend_check(state, ctx),
                     }
                 }
                 let Some(t) = state
@@ -987,7 +951,7 @@ pub(crate) fn invoke_with_site(
                     .resolve_method(ref_class, &site.name, &site.desc)
                 else {
                     let msg = format!("{}.{}{}", site.cname, site.name, site.desc);
-                    return throw_vm(state, frames, ctx, tid, "java/lang/NoSuchMethodError", &msg);
+                    throw!("java/lang/NoSuchMethodError", &msg);
                 };
                 let flags = method_flags_of(state, t);
                 // invokespecial binds statically; invokestatic binds
@@ -1009,22 +973,14 @@ pub(crate) fn invoke_with_site(
     // Synchronized methods: acquire the monitor before popping args.
     let mut acquired_monitor = None;
     if method_flags & access::ACC_SYNCHRONIZED != 0 && &*site.name != "<clinit>" {
+        tally.settle(state);
         let lock_obj = if method_flags & access::ACC_STATIC != 0 {
             let cls_name = state.registry.get(target.class).name.clone();
             class_object(state, &cls_name)
         } else {
             match recv {
                 Some(Value::Ref(Some(r))) => r,
-                _ => {
-                    return throw_vm(
-                        state,
-                        frames,
-                        ctx,
-                        tid,
-                        "java/lang/NullPointerException",
-                        "sync",
-                    )
-                }
+                _ => throw!("java/lang/NullPointerException", "sync"),
             }
         };
         if try_enter_monitor(state, ctx, lock_obj, tid) {
@@ -1040,6 +996,7 @@ pub(crate) fn invoke_with_site(
 
     // Native?
     if method_flags & access::ACC_NATIVE != 0 {
+        tally.settle(state);
         // Natives see logical values, not stack slots: drop the
         // padding slots of wide arguments.
         let mut args = caller.stack.split_off(split);
@@ -1061,28 +1018,21 @@ pub(crate) fn invoke_with_site(
     }
 
     if frames.len() >= 8192 {
-        return throw_vm(
-            state,
-            frames,
-            ctx,
-            tid,
+        throw!(
             "java/lang/StackOverflowError",
-            &format!("invoking {}", site.name),
+            &format!("invoking {}", site.name)
         );
     }
     let Some(blob) = state.code_blob(target.class, target.index) else {
-        return throw_vm(
-            state,
-            frames,
-            ctx,
-            tid,
+        throw!(
             "java/lang/AbstractMethodError",
-            &format!("{}.{}{}", site.cname, site.name, site.desc),
+            &format!("{}.{}{}", site.cname, site.name, site.desc)
         );
     };
     if usize::from(blob.max_locals) < total_slots {
         // Like malformed code: the callee never runs, and the error is
         // thrown from the caller.
+        tally.settle(state);
         if let Some(mon) = acquired_monitor {
             let _ = exit_monitor(state, ctx, mon, tid);
         }
@@ -1090,7 +1040,7 @@ pub(crate) fn invoke_with_site(
             "{}.{}{}: {total_slots} argument slots exceed max_locals {}",
             site.cname, site.name, site.desc, blob.max_locals
         );
-        return throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg);
+        throw!("java/lang/InternalError", &msg);
     }
     let mut callee = state.new_frame(blob);
     callee.held_monitor = acquired_monitor;
@@ -1100,5 +1050,8 @@ pub(crate) fn invoke_with_site(
     callee.locals[..total_slots].copy_from_slice(&caller.stack[split..]);
     caller.stack.truncate(split);
     frames.push(callee);
-    StepResult::CallBoundary
+    if state.hosted {
+        tally.settle(state);
+    }
+    suspend_check(state, ctx)
 }

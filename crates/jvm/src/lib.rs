@@ -40,6 +40,8 @@
 //! assert_eq!(result.stdout, "Hello from the browser!\n");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod class;
 mod exec;
 pub mod frame;

@@ -22,9 +22,20 @@ use doppio_jsengine::Cost;
 
 use crate::frame::Frame;
 use crate::interp::{self, StepResult};
-use crate::object::HeapObj;
+use crate::object::{HeapObj, JavaStr};
 use crate::state::JvmState;
 use crate::value::{ObjRef, Value};
+
+/// The value in `Ok`; an `Err` outcome (a guest exception) returns
+/// from the native.
+macro_rules! or_throw {
+    ($e:expr) => {
+        match $e {
+            Ok(v) => v,
+            Err(outcome) => return outcome,
+        }
+    };
+}
 
 /// What a native method call produced.
 pub enum NativeOutcome {
@@ -64,7 +75,7 @@ impl NativeCtx<'_, '_, '_> {
     fn string_arg(&self, v: &Value) -> Result<String, NativeOutcome> {
         match v {
             Value::Ref(Some(r)) => match self.state.heap.get(*r) {
-                HeapObj::JavaString(s) => Ok(s.clone()),
+                HeapObj::JavaString(s) => Ok(s.to_string()),
                 _ => Err(NativeOutcome::Throw {
                     class: "java/lang/InternalError".into(),
                     message: "expected a String".into(),
@@ -123,7 +134,8 @@ fn block_labeled(
 }
 
 /// Turn a native outcome into a step result (pushing return values
-/// onto the caller's frame).
+/// onto the caller's frame). A normal return is a call boundary and
+/// takes the §6.1 suspend check.
 pub fn apply_outcome(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
@@ -139,7 +151,7 @@ pub fn apply_outcome(
             if frames.is_empty() {
                 StepResult::Finished
             } else {
-                StepResult::CallBoundary
+                interp::suspend_check(state, ctx)
             }
         }
         NativeOutcome::Throw { class, message } => {
@@ -230,7 +242,7 @@ fn object_native(
                 return npe("toString");
             };
             let text = match n.state.heap.get(r) {
-                HeapObj::JavaString(s) => s.clone(),
+                HeapObj::JavaString(s) => s.to_string(),
                 HeapObj::StringBuilder(s) => s.clone(),
                 HeapObj::Instance { class, .. } => {
                     format!("{}@{:x}", n.state.registry.get(*class).name, r)
@@ -495,7 +507,7 @@ fn printstream_native(
         "()V" => String::new(),
         "(Ljava/lang/String;)V" => match args[1] {
             Value::Ref(Some(r)) => match n.state.heap.get(r) {
-                HeapObj::JavaString(s) => s.clone(),
+                HeapObj::JavaString(s) => s.to_string(),
                 _ => "<object>".to_string(),
             },
             Value::Ref(None) => "null".to_string(),
@@ -545,22 +557,13 @@ fn string_native(
     desc: &str,
     args: Vec<Value>,
 ) -> NativeOutcome {
-    let this_str = |n: &NativeCtx<'_, '_, '_>| -> Result<String, NativeOutcome> {
-        match args.first() {
-            Some(Value::Ref(Some(r))) => match n.state.heap.get(*r) {
-                HeapObj::JavaString(s) => Ok(s.clone()),
-                _ => Err(throw("java/lang/InternalError", "not a String")),
-            },
-            _ => Err(npe("String method")),
-        }
-    };
     match (name, desc) {
         // Constructors rewrite the freshly `new`ed instance in place.
         ("<init>", "()V") => {
             let Some(r) = args[0].as_ref() else {
                 return npe("<init>");
             };
-            *n.state.heap.get_mut(r) = HeapObj::JavaString(String::new());
+            *n.state.heap.get_mut(r) = HeapObj::JavaString(String::new().into());
             NativeOutcome::Return(None)
         }
         ("<init>", "([B)V") => {
@@ -576,7 +579,7 @@ fn string_native(
             };
             n.state.engine.charge_n(Cost::StringOp, bytes.len() as u64);
             let s = String::from_utf8_lossy(&bytes).into_owned();
-            *n.state.heap.get_mut(r) = HeapObj::JavaString(s);
+            *n.state.heap.get_mut(r) = HeapObj::JavaString(s.into());
             NativeOutcome::Return(None)
         }
         ("<init>", "([C)V") => {
@@ -594,36 +597,27 @@ fn string_native(
             let s: String = char::decode_utf16(units)
                 .map(|r| r.unwrap_or(char::REPLACEMENT_CHARACTER))
                 .collect();
-            *n.state.heap.get_mut(r) = HeapObj::JavaString(s);
+            *n.state.heap.get_mut(r) = HeapObj::JavaString(s.into());
             NativeOutcome::Return(None)
         }
         ("length", "()I") => {
-            let s = match this_str(n) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
-            NativeOutcome::Return(Some(Value::Int(s.encode_utf16().count() as i32)))
+            let s = or_throw!(this_str(n.state, &args));
+            NativeOutcome::Return(Some(Value::Int(s.utf16_len() as i32)))
         }
         ("charAt", "(I)C") => {
-            let s = match this_str(n) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
+            let s = or_throw!(this_str(n.state, &args));
             let i = args[1].as_int();
             n.state.engine.charge(Cost::StringOp);
-            match s.encode_utf16().nth(i.max(0) as usize) {
+            match s.utf16_at(i.max(0) as usize) {
                 Some(u) if i >= 0 => NativeOutcome::Return(Some(Value::Int(i32::from(u)))),
                 _ => throw("java/lang/StringIndexOutOfBoundsException", i.to_string()),
             }
         }
         ("equals", "(Ljava/lang/Object;)Z") => {
-            let s = match this_str(n) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
+            let s = or_throw!(this_str(n.state, &args));
             let eq = match args[1] {
                 Value::Ref(Some(r)) => {
-                    matches!(n.state.heap.get(r), HeapObj::JavaString(t) if *t == s)
+                    matches!(n.state.heap.get(r), HeapObj::JavaString(t) if t == s)
                 }
                 _ => false,
             };
@@ -631,10 +625,7 @@ fn string_native(
             NativeOutcome::Return(Some(Value::Int(i32::from(eq))))
         }
         ("hashCode", "()I") => {
-            let s = match this_str(n) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
+            let s = or_throw!(this_str(n.state, &args));
             n.state.engine.charge_n(Cost::StringOp, s.len() as u64);
             let mut h: i32 = 0;
             for u in s.encode_utf16() {
@@ -643,14 +634,8 @@ fn string_native(
             NativeOutcome::Return(Some(Value::Int(h)))
         }
         ("compareTo", "(Ljava/lang/String;)I") => {
-            let s = match this_str(n) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
-            let t = match n.string_arg(&args[1]) {
-                Ok(t) => t,
-                Err(e) => return e,
-            };
+            let s = or_throw!(this_str(n.state, &args));
+            let t = or_throw!(n.string_arg(&args[1]));
             let a: Vec<u16> = s.encode_utf16().collect();
             let b: Vec<u16> = t.encode_utf16().collect();
             n.state
@@ -664,21 +649,12 @@ fn string_native(
             NativeOutcome::Return(Some(Value::Int(r)))
         }
         ("concat", "(Ljava/lang/String;)Ljava/lang/String;") => {
-            let s = match this_str(n) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
-            let t = match n.string_arg(&args[1]) {
-                Ok(t) => t,
-                Err(e) => return e,
-            };
-            n.ret_string(format!("{s}{t}"))
+            let s = or_throw!(this_str(n.state, &args));
+            let t = or_throw!(n.string_arg(&args[1]));
+            n.ret_string(format!("{}{t}", &**s))
         }
         ("substring", "(II)Ljava/lang/String;") | ("substring", "(I)Ljava/lang/String;") => {
-            let s = match this_str(n) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
+            let s = or_throw!(this_str(n.state, &args));
             let units: Vec<u16> = s.encode_utf16().collect();
             let begin = args[1].as_int();
             let end = if desc == "(II)Ljava/lang/String;" {
@@ -699,10 +675,7 @@ fn string_native(
             n.ret_string(sub)
         }
         ("indexOf", "(I)I") => {
-            let s = match this_str(n) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
+            let s = or_throw!(this_str(n.state, &args));
             let c = args[1].as_int();
             let idx = s
                 .encode_utf16()
@@ -712,14 +685,8 @@ fn string_native(
             NativeOutcome::Return(Some(Value::Int(idx)))
         }
         ("indexOf", "(Ljava/lang/String;)I") => {
-            let s = match this_str(n) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
-            let t = match n.string_arg(&args[1]) {
-                Ok(t) => t,
-                Err(e) => return e,
-            };
+            let s = or_throw!(this_str(n.state, &args));
+            let t = or_throw!(n.string_arg(&args[1]));
             n.state.engine.charge_n(Cost::StringOp, s.len() as u64);
             let idx = s
                 .find(&t)
@@ -728,41 +695,26 @@ fn string_native(
             NativeOutcome::Return(Some(Value::Int(idx)))
         }
         ("startsWith", "(Ljava/lang/String;)Z") => {
-            let s = match this_str(n) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
-            let t = match n.string_arg(&args[1]) {
-                Ok(t) => t,
-                Err(e) => return e,
-            };
+            let s = or_throw!(this_str(n.state, &args));
+            let t = or_throw!(n.string_arg(&args[1]));
             NativeOutcome::Return(Some(Value::Int(i32::from(s.starts_with(&t)))))
         }
         ("toCharArray", "()[C") => {
-            let s = match this_str(n) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
+            let s = or_throw!(this_str(n.state, &args));
             n.state.engine.charge_n(Cost::StringOp, s.len() as u64);
             let units: Vec<u16> = s.encode_utf16().collect();
             let r = n.state.heap.alloc(HeapObj::ArrayChar(units));
             NativeOutcome::Return(Some(Value::Ref(Some(r))))
         }
         ("getBytes", "()[B") => {
-            let s = match this_str(n) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
+            let s = or_throw!(this_str(n.state, &args));
             n.state.engine.charge_n(Cost::StringOp, s.len() as u64);
             let bytes: Vec<i8> = s.bytes().map(|b| b as i8).collect();
             let r = n.state.heap.alloc(HeapObj::ArrayByte(bytes));
             NativeOutcome::Return(Some(Value::Ref(Some(r))))
         }
         ("intern", "()Ljava/lang/String;") => {
-            let s = match this_str(n) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
+            let s = or_throw!(this_str(n.state, &args)).to_string();
             let r = n.state.intern_string(&s);
             NativeOutcome::Return(Some(Value::Ref(Some(r))))
         }
@@ -793,6 +745,17 @@ fn string_native(
     }
 }
 
+/// The `String` receiver of a `String` method, by reference.
+fn this_str<'s>(state: &'s JvmState, args: &[Value]) -> Result<&'s JavaStr, NativeOutcome> {
+    match args.first() {
+        Some(Value::Ref(Some(r))) => match state.heap.get(*r) {
+            HeapObj::JavaString(s) => Ok(s),
+            _ => Err(throw("java/lang/InternalError", "not a String")),
+        },
+        _ => Err(npe("String method")),
+    }
+}
+
 fn stringbuilder_native(
     n: &mut NativeCtx<'_, '_, '_>,
     name: &str,
@@ -810,7 +773,7 @@ fn stringbuilder_native(
         ("append", "(Ljava/lang/String;)Ljava/lang/StringBuilder;") => {
             let text = match args[1] {
                 Value::Ref(Some(r)) => match n.state.heap.get(r) {
-                    HeapObj::JavaString(s) => s.clone(),
+                    HeapObj::JavaString(s) => s.to_string(),
                     _ => "<object>".into(),
                 },
                 _ => "null".into(),
@@ -922,10 +885,7 @@ fn integer_native(
 ) -> NativeOutcome {
     match (name, desc) {
         ("parseInt", "(Ljava/lang/String;)I") => {
-            let s = match n.string_arg(&args[0]) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
+            let s = or_throw!(n.string_arg(&args[0]));
             match s.trim().parse::<i32>() {
                 Ok(v) => NativeOutcome::Return(Some(Value::Int(v))),
                 Err(_) => throw("java/lang/NumberFormatException", s),
@@ -955,10 +915,7 @@ fn long_native(
     n.state.engine.charge(Cost::LongOp);
     match (name, desc) {
         ("parseLong", "(Ljava/lang/String;)J") => {
-            let s = match n.string_arg(&args[0]) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
+            let s = or_throw!(n.string_arg(&args[0]));
             match s.trim().parse::<i64>() {
                 Ok(v) => NativeOutcome::Return(Some(Value::Long(v))),
                 Err(_) => throw("java/lang/NumberFormatException", s),
@@ -983,10 +940,7 @@ fn double_native(
 ) -> NativeOutcome {
     match (name, desc) {
         ("parseDouble", "(Ljava/lang/String;)D") => {
-            let s = match n.string_arg(&args[0]) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
+            let s = or_throw!(n.string_arg(&args[0]));
             match s.trim().parse::<f64>() {
                 Ok(v) => NativeOutcome::Return(Some(Value::Double(v))),
                 Err(_) => throw("java/lang/NumberFormatException", s),
@@ -1141,7 +1095,7 @@ pub fn describe_throwable(state: &JvmState, r: ObjRef) -> (String, String, Strin
             let trace = text("java/lang/Throwable.stackTrace");
             (cls, msg, trace)
         }
-        HeapObj::JavaString(s) => ("java.lang.Throwable".into(), s.clone(), String::new()),
+        HeapObj::JavaString(s) => ("java.lang.Throwable".into(), s.to_string(), String::new()),
         _ => ("java.lang.Throwable".into(), String::new(), String::new()),
     }
 }
@@ -1294,10 +1248,7 @@ fn fs_native(
     let fs = n.state.fs.clone();
     match (name, desc) {
         ("readFileBytes", "(Ljava/lang/String;)[B") => {
-            let path = match n.string_arg(&args[0]) {
-                Ok(p) => p,
-                Err(e) => return e,
-            };
+            let path = or_throw!(n.string_arg(&args[0]));
             let label = doppio_fs::wait_label("read", &path);
             let cell = n.ctx.block_on(move |_, resolver| {
                 fs.read_file(&path, move |_, r| resolver.resolve(r));
@@ -1324,10 +1275,7 @@ fn fs_native(
             )
         }
         ("writeFileBytes", "(Ljava/lang/String;[B)V") => {
-            let path = match n.string_arg(&args[0]) {
-                Ok(p) => p,
-                Err(e) => return e,
-            };
+            let path = or_throw!(n.string_arg(&args[0]));
             let Some(arr) = args[1].as_ref() else {
                 return npe("byte[]");
             };
@@ -1351,10 +1299,7 @@ fn fs_native(
             )
         }
         ("listDir", "(Ljava/lang/String;)[Ljava/lang/String;") => {
-            let path = match n.string_arg(&args[0]) {
-                Ok(p) => p,
-                Err(e) => return e,
-            };
+            let path = or_throw!(n.string_arg(&args[0]));
             let label = doppio_fs::wait_label("readdir", &path);
             let cell = n.ctx.block_on(move |_, resolver| {
                 fs.readdir(&path, move |_, r| resolver.resolve(r));
@@ -1381,10 +1326,7 @@ fn fs_native(
             )
         }
         ("exists", "(Ljava/lang/String;)Z") => {
-            let path = match n.string_arg(&args[0]) {
-                Ok(p) => p,
-                Err(e) => return e,
-            };
+            let path = or_throw!(n.string_arg(&args[0]));
             let label = doppio_fs::wait_label("exists", &path);
             let cell = n.ctx.block_on(move |_, resolver| {
                 fs.exists(&path, move |_, ok| resolver.resolve(ok));
@@ -1399,10 +1341,7 @@ fn fs_native(
             )
         }
         ("fileSize", "(Ljava/lang/String;)I") => {
-            let path = match n.string_arg(&args[0]) {
-                Ok(p) => p,
-                Err(e) => return e,
-            };
+            let path = or_throw!(n.string_arg(&args[0]));
             let label = doppio_fs::wait_label("stat", &path);
             let cell = n.ctx.block_on(move |_, resolver| {
                 fs.stat(&path, move |_, r| resolver.resolve(r));
@@ -1419,10 +1358,7 @@ fn fs_native(
             )
         }
         ("mkdir", "(Ljava/lang/String;)V") => {
-            let path = match n.string_arg(&args[0]) {
-                Ok(p) => p,
-                Err(e) => return e,
-            };
+            let path = or_throw!(n.string_arg(&args[0]));
             let label = doppio_fs::wait_label("mkdir", &path);
             let cell = n.ctx.block_on(move |_, resolver| {
                 fs.mkdir(&path, move |_, r| resolver.resolve(r));
@@ -1439,10 +1375,7 @@ fn fs_native(
             )
         }
         ("unlink", "(Ljava/lang/String;)V") => {
-            let path = match n.string_arg(&args[0]) {
-                Ok(p) => p,
-                Err(e) => return e,
-            };
+            let path = or_throw!(n.string_arg(&args[0]));
             let label = doppio_fs::wait_label("unlink", &path);
             let cell = n.ctx.block_on(move |_, resolver| {
                 fs.unlink(&path, move |_, r| resolver.resolve(r));
@@ -1554,10 +1487,7 @@ fn js_native(
         // programs execute snippets of JavaScript. This method returns
         // a JVM String."
         ("eval", "(Ljava/lang/String;)Ljava/lang/String;") => {
-            let src = match n.string_arg(&args[0]) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
+            let src = or_throw!(n.string_arg(&args[0]));
             let engine = n.state.engine.clone();
             let result = match n.state.js_eval.as_mut() {
                 Some(f) => f(&engine, &src),
@@ -1578,10 +1508,7 @@ fn socket_native(
     use doppio_sockets::{DoppioSocket, SocketState};
     match (name, desc) {
         ("connect", "(Ljava/lang/String;I)I") => {
-            let _host = match n.string_arg(&args[0]) {
-                Ok(h) => h,
-                Err(e) => return e,
-            };
+            let _host = or_throw!(n.string_arg(&args[0]));
             let port = args[1].as_int() as u16;
             let Some(net) = n.state.network.clone() else {
                 return throw("java/io/IOException", "no network configured");

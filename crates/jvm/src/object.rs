@@ -38,7 +38,7 @@ pub enum HeapObj {
     },
     /// `java/lang/String`: the character data lives Rust-side, as the
     /// original keeps it in a JavaScript string.
-    JavaString(String),
+    JavaString(JavaStr),
     /// `java/lang/StringBuilder` backing store.
     StringBuilder(String),
     /// `int[]`.
@@ -113,6 +113,50 @@ impl HeapObj {
     }
 }
 
+/// A `java/lang/String`'s characters, and whether all of them are
+/// ASCII, recorded when the string is made: then its UTF-16 units are
+/// its bytes, and `length`/`charAt` take O(1) host time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JavaStr {
+    text: String,
+    ascii: bool,
+}
+
+impl JavaStr {
+    /// The length in UTF-16 units (Java `chars`).
+    pub fn utf16_len(&self) -> usize {
+        if self.ascii {
+            self.text.len()
+        } else {
+            self.text.encode_utf16().count()
+        }
+    }
+
+    /// The UTF-16 unit at index `i`, if in range.
+    pub fn utf16_at(&self, i: usize) -> Option<u16> {
+        if self.ascii {
+            self.text.as_bytes().get(i).map(|&b| u16::from(b))
+        } else {
+            self.text.encode_utf16().nth(i)
+        }
+    }
+}
+
+impl From<String> for JavaStr {
+    fn from(text: String) -> JavaStr {
+        let ascii = text.is_ascii();
+        JavaStr { text, ascii }
+    }
+}
+
+impl std::ops::Deref for JavaStr {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
+
 /// The object arena.
 #[derive(Debug, Default)]
 pub struct Heap {
@@ -170,20 +214,35 @@ impl Heap {
     /// Read the Rust string out of a `JavaString`.
     pub fn java_string(&self, r: ObjRef) -> Option<&str> {
         match self.get(r) {
-            HeapObj::JavaString(s) => Some(s),
+            HeapObj::JavaString(s) => Some(&**s),
             _ => None,
         }
     }
 
     /// Allocate a `java/lang/String`.
     pub fn alloc_string(&mut self, s: impl Into<String>) -> ObjRef {
-        self.alloc(HeapObj::JavaString(s.into()))
+        self.alloc(HeapObj::JavaString(JavaStr::from(s.into())))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn java_strings_index_utf16_units() {
+        for (text, units) in [
+            ("abc", vec![97, 98, 99]),
+            ("aé€𝄞", vec![97, 0xe9, 0x20ac, 0xd834, 0xdd1e]),
+        ] {
+            let s = JavaStr::from(text.to_string());
+            assert_eq!(s.utf16_len(), units.len(), "{text}");
+            for (i, &u) in units.iter().enumerate() {
+                assert_eq!(s.utf16_at(i), Some(u), "{text}[{i}]");
+            }
+            assert_eq!(s.utf16_at(units.len()), None, "{text}");
+        }
+    }
 
     #[test]
     fn alloc_and_access() {

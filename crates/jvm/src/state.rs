@@ -181,6 +181,12 @@ pub struct JvmState {
     /// (§6.1 discusses instrumenting loop back edges; off by default,
     /// matching DoppioJVM).
     pub check_backedges: bool,
+    /// Whether the engine has a watchdog, so the §6.1 suspend checks
+    /// run (fixed with the engine's profile).
+    pub(crate) hosted: bool,
+    /// The `String` and `StringBuilder` class ids, once defined: the
+    /// runtime classes of the two heap objects that carry no class.
+    pub(crate) string_classes: [Option<ClassId>; 2],
     /// JVM threads that are live (indexes parallel the runtime's ids).
     pub live_threads: usize,
     /// Deterministic RNG state for `Math.random`.
@@ -229,6 +235,8 @@ impl JvmState {
             js_eval: None,
             instructions: 0,
             check_backedges: false,
+            hosted: engine.profile().watchdog_limit_ns.is_some(),
+            string_classes: [None; 2],
             live_threads: 0,
             rng_state: 0x5DEECE66D,
             stdin_waiters: Vec::new(),

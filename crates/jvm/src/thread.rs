@@ -12,11 +12,11 @@ use std::rc::Rc;
 use doppio_core::{AsyncCell, GuestThread, Resource, ThreadContext, ThreadStep};
 use doppio_trace::{cat, ArgValue};
 
+use crate::exec;
 use crate::frame::Frame;
 use crate::interp::{self, StepResult};
 use crate::loader::{self, AfterFetch};
 use crate::natives::{self, NativeCtx, NativeOutcome, PendingNative};
-use crate::object::HeapObj;
 use crate::state::JvmState;
 use crate::value::{ObjRef, Value};
 
@@ -68,7 +68,6 @@ impl GuestThread for JvmThread {
         let tid = ctx.thread_id();
         let state_rc = self.state.clone();
         let mut state = state_rc.borrow_mut();
-        let hosted = state.engine.profile().watchdog_limit_ns.is_some();
 
         // Resume whatever we were blocked on.
         if let Some(pending) = self.pending.take() {
@@ -88,9 +87,8 @@ impl GuestThread for JvmThread {
                         Some(o) => {
                             let sr =
                                 natives::apply_outcome(&mut state, &mut self.frames, ctx, tid, o);
-                            match self.after_step(sr, &mut state, ctx) {
-                                ControlFlow::Go => {}
-                                ControlFlow::Out(step) => return step,
+                            if let ControlFlow::Out(step) = self.after_step(sr, &mut state, ctx) {
+                                return step;
                             }
                         }
                     }
@@ -122,9 +120,8 @@ impl GuestThread for JvmThread {
                                 "java/lang/NoClassDefFoundError",
                                 &e,
                             );
-                            match self.after_step(sr, &mut state, ctx) {
-                                ControlFlow::Go => {}
-                                ControlFlow::Out(step) => return step,
+                            if let ControlFlow::Out(step) = self.after_step(sr, &mut state, ctx) {
+                                return step;
                             }
                         }
                         AfterFetch::Fetch(dep) => {
@@ -153,24 +150,12 @@ impl GuestThread for JvmThread {
             }
         }
 
-        // The interpreter loop: run until something yields control.
-        // `interp::run` only surfaces non-Continue results.
+        // The interpreter runs calls and returns itself, and leaves only
+        // when the thread must (a failed class load may send it back).
         loop {
-            let sr = interp::run(&mut state, &mut self.frames, ctx, tid);
-            match sr {
-                StepResult::Continue => {}
-                StepResult::CallBoundary => {
-                    // §6.1: suspend checks at method call boundaries.
-                    if hosted && ctx.should_suspend() {
-                        profiler_sample(&state, &self.frames, &self.name);
-                        trace_method_sample(&state, &self.frames, ctx);
-                        return ThreadStep::Yielded;
-                    }
-                }
-                other => match self.after_step(other, &mut state, ctx) {
-                    ControlFlow::Go => {}
-                    ControlFlow::Out(step) => return step,
-                },
+            let sr = exec::execute(&mut state, &mut self.frames, ctx, tid);
+            if let ControlFlow::Out(step) = self.after_step(sr, &mut state, ctx) {
+                return step;
             }
         }
     }
@@ -256,15 +241,11 @@ impl JvmThread {
         let tid = ctx.thread_id();
         match sr {
             StepResult::Continue => ControlFlow::Go,
-            StepResult::CallBoundary => {
-                let hosted = state.engine.profile().watchdog_limit_ns.is_some();
-                if hosted && ctx.should_suspend() {
-                    profiler_sample(state, &self.frames, &self.name);
-                    trace_method_sample(state, &self.frames, ctx);
-                    ControlFlow::Out(ThreadStep::Yielded)
-                } else {
-                    ControlFlow::Go
-                }
+            // §6.1: a suspend check at a call boundary fired.
+            StepResult::Suspend => {
+                profiler_sample(state, &self.frames, &self.name);
+                trace_method_sample(state, &self.frames, ctx);
+                ControlFlow::Out(ThreadStep::Yielded)
             }
             StepResult::NeedClass(name) => {
                 if let Some(reason) = state.loader.failed.get(&name).cloned() {
@@ -397,7 +378,7 @@ pub fn current_thread_object(n: &mut NativeCtx<'_, '_, '_>) -> ObjRef {
     }
     let r = match n.state.registry.lookup("java/lang/Thread") {
         Some(cid) => interp::alloc_instance(n.state, cid),
-        None => n.state.heap.alloc(HeapObj::JavaString("main".into())),
+        None => n.state.heap.alloc_string("main"),
     };
     n.state.thread_objs.insert(id, r);
     n.state.thread_of_obj.insert(r, id);

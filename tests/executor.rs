@@ -593,3 +593,129 @@ fn ill_fitting_arguments_throw_internal_error_from_the_caller() {
         );
     }
 }
+
+/// A call-heavy guest: `fib` and `ack` recursion, virtual dispatch
+/// across a subclass, `String.length`/`charAt` loops over an ASCII and
+/// a non-ASCII string, and the virtual clock read inside every loop, so
+/// each call, return and native boundary is pinned to its virtual time.
+const CALL_HEAVY: &str = r#"
+    class Shape {
+        int area(int k) { return k; }
+    }
+    class Square extends Shape {
+        int area(int k) { return k * k; }
+    }
+    class Main {
+        static int fib(int n) {
+            if (n < 2) { return n; }
+            return fib(n - 1) + fib(n - 2);
+        }
+        static int ack(int m, int n) {
+            if (m == 0) { return n + 1; }
+            if (n == 0) { return ack(m - 1, 1); }
+            return ack(m - 1, ack(m, n - 1));
+        }
+        static int count(String text, char a, char b) {
+            int hits = 0;
+            for (int i = 0; i < text.length(); i++) {
+                char c = text.charAt(i);
+                if (c == a || c == b) { hits = hits + 1; }
+            }
+            return hits;
+        }
+        static void main(String[] args) {
+            long t0 = System.currentTimeMillis();
+            long n0 = System.nanoTime();
+            long ticks = 0L;
+            int f = 0;
+            for (int r = 0; r < 4; r++) {
+                f = f + fib(14);
+                ticks = ticks + (System.nanoTime() - n0) % 1000L;
+            }
+            int a = ack(2, 3);
+            Shape plain = new Shape();
+            Shape square = new Square();
+            int total = 0;
+            for (int i = 0; i < 600; i++) {
+                Shape s = plain;
+                if (i % 3 == 0) { s = square; }
+                total = total + s.area(i);
+                ticks = ticks + (System.nanoTime() - n0) % 7L;
+            }
+            String ascii = "the quick brown fox jumps over the lazy dog";
+            String wide = "naïve café über résumé";
+            int hits = 0;
+            for (int r = 0; r < 30; r++) {
+                hits = hits + count(ascii, 'o', 'e') + count(wide, 'e', 'é');
+                ticks = ticks + (System.currentTimeMillis() - t0);
+            }
+            System.out.println("fib=" + f + " ack=" + a + " total=" + total + " hits=" + hits);
+            System.out.println("ticks=" + ticks + " len=" + wide.length() + " c=" + (int) wide.charAt(2));
+        }
+    }
+"#;
+
+/// Run `src` on a fresh engine with histograms and a 200 µs sampling
+/// profiler attached; render its observables plus the folded profile.
+fn observed_run(src: &str, browser: Browser, check_backedges: bool) -> String {
+    let engine = doppio::EngineBuilder::new(browser)
+        .observability(
+            doppio::ObservabilityOptions::new()
+                .histograms(true)
+                .profiler(doppio::trace::Profiler::new(200_000)),
+        )
+        .build();
+    let fs = FileSystem::new(&engine, backends::in_memory(&engine));
+    fsutil::mount_class_files(&engine, &fs, "/classes", &compile_to_bytes(src).unwrap());
+    let jvm = Jvm::new(&engine, fs);
+    jvm.set_check_backedges(check_backedges);
+    jvm.launch("Main", &[]);
+    let r = jvm.run_to_completion().expect("the run completes");
+    let folded = engine.profiler().expect("profiler attached").folded();
+    format!(
+        "{}runtime: {:?}\nprofile:\n{folded}",
+        render(&r, &engine),
+        r.runtime
+    )
+}
+
+#[test]
+fn call_heavy_guest_matches_its_golden() {
+    let got = observed_run(CALL_HEAVY, Browser::Chrome, false);
+    assert!(got.starts_with("stdout: \"fib=1508 ack=9 total="), "{got}");
+    assert!(!got.contains("suspensions: 0,"), "{got}");
+    assert_golden("call_heavy.txt", &got);
+}
+
+#[test]
+fn call_heavy_guest_with_backedge_checks_matches_its_golden() {
+    let got = observed_run(CALL_HEAVY, Browser::Chrome, true);
+    assert_golden("call_heavy_backedges.txt", &got);
+}
+
+/// `byte[]` churn on Safari, whose typed arrays leak: residency passes
+/// the 4 MiB paging threshold part-way, so the arithmetic between the
+/// allocations is charged at a growing paging penalty.
+const PAGING_CHURN: &str = r#"
+    class Main {
+        static int mix(int acc, int j) { return acc * 31 + j; }
+        static void main(String[] args) {
+            int acc = 0;
+            long t0 = System.currentTimeMillis();
+            for (int i = 0; i < 320; i++) {
+                byte[] buf = new byte[20000];
+                for (int j = 0; j < 40; j++) {
+                    acc = mix(acc, j + buf[i] + buf.length);
+                }
+            }
+            System.out.println("acc=" + acc + " ms=" + (System.currentTimeMillis() - t0));
+        }
+    }
+"#;
+
+#[test]
+fn paging_churn_on_safari_matches_its_golden() {
+    let got = observed_run(PAGING_CHURN, Browser::Safari, false);
+    assert!(got.starts_with("stdout: \"acc="), "{got}");
+    assert_golden("paging_churn_safari.txt", &got);
+}

@@ -243,7 +243,7 @@ fn read_write_script(run: &mut Run, be: &SharedBackend) {
     run.stat(be, "/d/k");
     run.sync(be, "/d/k", 3, 5);
     run.open(be, "/d/k", "r+");
-    run.sync(be, "/d", 10, 6); // succeeds: a known defect, pinned as is
+    run.sync(be, "/d", 10, 6); // EISDIR
     run.sync(be, "/nope/f", 10, 6); // ENOENT parent
     run.mkdir(be, "/d/sub");
     run.sync(be, "/d/sub/x", 700, 7);
@@ -375,6 +375,7 @@ fn xhr_reads_and_erofs_timing_match_their_golden() {
     r.open(&be, "/new", "w"); // EROFS (create)
     r.sync(&be, "/readme.txt", 3_000, 15); // EROFS
     r.sync(&be, "/new", 10, 15); // EROFS
+    r.sync(&be, "/lib", 10, 15); // EISDIR
     r.rename(&be, "/readme.txt", "/x"); // EROFS
     r.unlink(&be, "/readme.txt"); // EROFS
     r.mkdir(&be, "/d"); // EROFS
